@@ -42,13 +42,12 @@ from .ledger import (
     LevelSupport,
     build_report,
     envelope_bound,
-    exact_bound_with_eigenvalues,
     find_k_p0,
     level_support,
     load_eigenvalue_table,
     threshold,
 )
-from .quadfield import QuadElement, QuadPrime, SplitType, norm, prime_valuation, primes_above, splitting_type
+from .quadfield import QuadElement, QuadPrime, SplitType, prime_valuation, primes_above, splitting_type
 
 __version__ = "0.1.0"
 
@@ -61,14 +60,14 @@ __all__ = [
     "EDSTerm", "PrimitiveDivisors", "Sequence", "check_strong_divisibility",
     "check_valuation_growth", "extend", "generate", "primitive_divisors",
     "scan_powers", "term",
-    "QuadElement", "QuadPrime", "SplitType", "norm", "prime_valuation",
+    "QuadElement", "QuadPrime", "SplitType", "prime_valuation",
     "primes_above", "splitting_type",
     "FreyCurve", "FreySolution", "Reduction", "bad_set", "classify_reduction",
     "construct", "exponent_divisibility", "invariants_oracle",
     "DescentDatum", "decompose", "to_frey",
     "EigenRecord", "EnvelopeBound", "LedgerReport", "LevelSupport",
-    "build_report", "envelope_bound", "exact_bound_with_eigenvalues",
-    "find_k_p0", "level_support", "load_eigenvalue_table", "threshold",
+    "build_report", "envelope_bound", "find_k_p0", "level_support",
+    "load_eigenvalue_table", "threshold",
     "BudgetExhausted", "HypothesisError",
     "__version__",
 ]

@@ -13,6 +13,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -64,8 +65,6 @@ def _stringify(obj):
 
 
 def _curve_and_point(args: argparse.Namespace) -> tuple[Curve, Point]:
-    if args.b < 1:
-        raise ValueError("--b must be a positive integer")
     return make_curve_xb(args.b), _parse_point(args.point)
 
 
@@ -235,7 +234,9 @@ def _cmd_ledger(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return payload, lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="edspower",
         description="Denominator sequences of rational points on y^2 = x(x^2 + b): "
@@ -308,25 +309,34 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Terms outgrow the int/str digit limit (Python 3.10.7 and later) near
+    # m = 55; lift it for this call only, so in-process callers keep theirs.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        payload, lines = args.handler(args)
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.table:
-        print("\n".join(lines))
-    else:
-        document = {"tool": "edspower", "command": args.command,
-                    "integer_encoding": "decimal string"}
-        document.update(payload)
-        print(json.dumps(_stringify(document), indent=2))
-    return 0
+        try:
+            payload, lines = args.handler(args)
+        except HypothesisError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except BudgetExhausted as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.table:
+            print("\n".join(lines))
+        else:
+            document = {"tool": "edspower", "command": args.command,
+                        "integer_encoding": "decimal string"}
+            document.update(payload)
+            print(json.dumps(_stringify(document), indent=2))
+        return 0
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def console_main() -> None:

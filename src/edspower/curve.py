@@ -1,48 +1,25 @@
-"""Integral Weierstrass curves over Q with an exact group law.
+"""The curves y^2 = x(x^2 + b), b a positive integer, with an exact group law.
 
-Curves are long Weierstrass models y^2 + a1 xy + a3 y = x^3 + a2 x^2 +
-a4 x + a6 with integer coefficients; points carry exact Fraction
-coordinates.  No floating point anywhere: the sequence extraction
+Every curve of the package belongs to this one family.  Its discriminant
+-64b^3 never vanishes, so every member is nonsingular.  Points carry exact
+Fraction coordinates.  No floating point anywhere: the sequence extraction
 downstream needs bit-exact denominators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-
-def weierstrass_invariants(a1, a2, a3, a4, a6):
-    """(discriminant, c4) by the standard formulas.
-
-    Works over any commutative ring whose elements support +, -, * and
-    multiplication by ints: used with plain integers here and with
-    quadratic-field elements elsewhere.
-    """
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
-    disc = -b2 * b2 * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
-    c4 = b2 * b2 - 24 * b4
-    return disc, c4
 
 
 @dataclass(frozen=True)
 class Curve:
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-    discriminant: int = field(init=False)
-    c4: int = field(init=False)
+    """y^2 = x(x^2 + b) = x^3 + b*x."""
+
+    b: int
 
     def __post_init__(self):
-        disc, c4 = weierstrass_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
-        if disc == 0:
-            raise ValueError("singular Weierstrass equation (discriminant is 0)")
-        object.__setattr__(self, "discriminant", disc)
-        object.__setattr__(self, "c4", c4)
+        if not isinstance(self.b, int) or self.b < 1:
+            raise ValueError("b must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -69,25 +46,21 @@ INFINITY = Point(None, None)
 
 def make_curve_xb(b: int) -> Curve:
     """The curve y^2 = x(x^2 + b) for a positive integer b."""
-    if not isinstance(b, int) or b < 1:
-        raise ValueError("b must be a positive integer")
-    return Curve(0, 0, 0, b, 0)
+    return Curve(b)
 
 
 def on_curve(c: Curve, P: Point) -> bool:
-    """Exact check of the Weierstrass equation."""
+    """Exact check of the curve equation."""
     if P.is_infinity:
         return True
     x, y = P.x, P.y
-    lhs = y * y + c.a1 * x * y + c.a3 * y
-    rhs = x * x * x + c.a2 * x * x + c.a4 * x + c.a6
-    return lhs == rhs
+    return y * y == x * (x * x + c.b)
 
 
 def neg(c: Curve, P: Point) -> Point:
     if P.is_infinity:
         return P
-    return Point(P.x, -P.y - c.a1 * P.x - c.a3)
+    return Point(P.x, -P.y)
 
 
 def add(c: Curve, P: Point, Q: Point) -> Point:
@@ -98,18 +71,15 @@ def add(c: Curve, P: Point, Q: Point) -> Point:
         return P
     x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
     if x1 == x2:
-        if y1 + y2 + c.a1 * x2 + c.a3 == 0:
+        if y1 + y2 == 0:
             return INFINITY  # Q = -P (covers doubling a 2-torsion point)
         # otherwise both points coincide: tangent line
-        den = 2 * y1 + c.a1 * x1 + c.a3
-        lam = (3 * x1 * x1 + 2 * c.a2 * x1 + c.a4 - c.a1 * y1) / den
-        nu = (-(x1 * x1 * x1) + c.a4 * x1 + 2 * c.a6 - c.a3 * y1) / den
+        lam = (3 * x1 * x1 + c.b) / (2 * y1)
     else:
         lam = (y2 - y1) / (x2 - x1)
-        nu = (y1 * x2 - y2 * x1) / (x2 - x1)
-    x3 = lam * lam + c.a1 * lam - c.a2 - x1 - x2
-    y3 = -(lam + c.a1) * x3 - nu - c.a3
-    return Point(x3, y3)
+    x3 = lam * lam - x1 - x2
+    # the line through Q: sequence generation passes the small generator as Q
+    return Point(x3, lam * (x2 - x3) - y2)
 
 
 def mul(c: Curve, n: int, P: Point) -> Point:
@@ -128,10 +98,11 @@ def mul(c: Curve, n: int, P: Point) -> Point:
 
 
 def is_torsion(c: Curve, P: Point) -> bool:
-    """True iff nP = infinity for some n <= 12 (the rational torsion bound)."""
-    Q = P
-    for _ in range(12):
-        if Q.is_infinity:
-            return True
-        Q = add(c, Q, P)
-    return False
+    """True iff P has finite order.  P must lie on c.
+
+    For b > 0 the rational torsion is {O, (0, 0)}, except for b = 4t^4,
+    which adds the points (2t^2, +-4t^3) of order 4 (Knapp, Elliptic
+    Curves, the torsion of y^2 = x^3 + bx).  These are exactly the points
+    of c with x^2 = b: x(2P) = (x^2 - b)^2 / (4y^2) vanishes there.
+    """
+    return P.is_infinity or P.x == 0 or P.x * P.x == c.b

@@ -40,9 +40,7 @@ def decompose(c: Curve, t: EDSTerm, ell: int, w: int, budget: Budget = DEFAULT_B
     The harness mode ell = 1, w = B exercises every identity on arbitrary
     terms; genuine power mode passes the actual root and exponent.
     """
-    if (c.a1, c.a2, c.a3, c.a6) != (0, 0, 0, 0) or c.a4 < 1:
-        raise ValueError("curve must have the shape y^2 = x(x^2 + b) with b >= 1")
-    b = c.a4
+    b = c.b
     if ell < 1 or w < 1:
         raise ValueError("ell and w must be positive integers")
     if t.A == 0:

@@ -1,8 +1,8 @@
 """Elliptic divisibility sequences.
 
-The multiples of a non-torsion rational point P on an integral Weierstrass
-curve have the shape mP = (A_m / B_m^2, C_m / B_m^3) in lowest terms with
-B_m > 0.  This module extracts the triples, generates the sequence {B_m}
+The multiples of a non-torsion rational point P on y^2 = x(x^2 + b) have
+the shape mP = (A_m / B_m^2, C_m / B_m^3) in lowest terms with B_m > 0.
+This module extracts the triples, generates the sequence {B_m}
 incrementally, and checks the divisibility laws it satisfies: strong
 divisibility, valuation growth, primitive divisors, and scans for perfect
 powers among the terms.
@@ -116,13 +116,7 @@ def check_strong_divisibility(s: Sequence, m: int, n: int) -> bool:
 
 
 def check_valuation_growth(s: Sequence, p: int, n: int, k: int) -> bool:
-    """v_p(B_{nk}) = v_p(B_n) + v_p(k)?  Requires v_p(B_n) > 0.
-
-    For p = 2 the law needs a1 even; on curves with odd a1 the behavior is
-    not covered here and the check refuses rather than guessing.
-    """
-    if p == 2 and s.curve.a1 % 2 != 0:
-        raise HypothesisError("p = 2 requires a curve with even a1")
+    """v_p(B_{nk}) = v_p(B_n) + v_p(k)?  Requires v_p(B_n) > 0."""
     if k < 1:
         raise ValueError("multiplier k must be positive")
     bn = _get_B(s, n)

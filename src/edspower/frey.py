@@ -14,7 +14,6 @@ from math import gcd
 
 from . import arith
 from .arith import DEFAULT_BUDGET, Budget
-from .curve import weierstrass_invariants
 from .errors import BudgetExhausted
 from .quadfield import QuadElement, QuadPrime, prime_valuation
 
@@ -100,6 +99,22 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
         c4=c4,
         bad_primes=frozenset(bad_set(s.a, s.d, budget)),
     )
+
+
+def weierstrass_invariants(a1, a2, a3, a4, a6):
+    """(discriminant, c4) of a long Weierstrass model by the standard formulas.
+
+    Works over any commutative ring whose elements support +, -, * and
+    multiplication by ints: used with quadratic-field elements by
+    invariants_oracle and with plain integers in the tests.
+    """
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
+    disc = -b2 * b2 * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
+    c4 = b2 * b2 - 24 * b4
+    return disc, c4
 
 
 def invariants_oracle(F: FreyCurve) -> tuple[QuadElement, QuadElement]:

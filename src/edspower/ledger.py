@@ -145,11 +145,13 @@ def find_k_p0(
     T: set[int],
     search_cap: int = DEFAULT_SEARCH_CAP,
     budget: Budget = DEFAULT_BUDGET,
-) -> tuple[int, int]:
+) -> tuple[int, int, bool]:
     """Smallest k whose index q^(k - v_q(B_1)) has a primitive divisor outside T.
 
-    Returns (k, p0) with p0 the least such primitive divisor found.  The
-    search walks indices q, q^2, ... up to search_cap, extending the
+    Returns (k, p0, complete) with p0 the least such primitive divisor
+    found; complete is False when the factoring of the term at that index
+    was cut short, so a smaller primitive divisor may exist.  The search
+    walks indices q, q^2, ... up to search_cap, extending the
     sequence as needed; exhaustion raises BudgetExhausted with the progress
     made.
     """
@@ -171,7 +173,7 @@ def find_k_p0(
         found = eds.primitive_divisors(s, index, budget)
         candidates = sorted(p for p in found.primes if p not in T)
         if candidates:
-            return v1 + j, candidates[0]
+            return v1 + j, candidates[0], found.complete
         tried.append((index, found.complete))
         j += 1
     detail = ", ".join(
@@ -253,6 +255,13 @@ def load_eigenvalue_table(lines) -> list[EigenRecord]:
 
 
 def _exact_bound(fields: tuple[CandidateField, ...], p0: int, table: list[EigenRecord]) -> int | None:
+    """max over forms and signs of |N + 1 +- a_p| at the prime over p0.
+
+    Level tags are opaque, so each record is applied to every candidate
+    field whose envelope it respects; a record violating |a_p| <= 2*sqrt(N)
+    for every candidate field is corrupt input.  Returns None when some
+    candidate field has no applicable record (the envelope bound stands).
+    """
     relevant = [r for r in table if r.p == p0]
     if not relevant:
         return None
@@ -270,17 +279,6 @@ def _exact_bound(fields: tuple[CandidateField, ...], p0: int, table: list[EigenR
         for r in usable:
             best = max(best, abs(N + 1 + r.a_p), abs(N + 1 - r.a_p))
     return best
-
-
-def exact_bound_with_eigenvalues(report: LedgerReport, table: list[EigenRecord]) -> int | None:
-    """max over forms and signs of |N + 1 +- a_p| at the prime over p0.
-
-    Level tags are opaque, so each record is applied to every candidate
-    field whose envelope it respects; a record violating |a_p| <= 2*sqrt(N)
-    for every candidate field is corrupt input.  Returns None when some
-    candidate field has no applicable record (the envelope bound stands).
-    """
-    return _exact_bound(report.candidate_fields, report.p0, table)
 
 
 def _squarefree_divisors(b: int, budget: Budget = DEFAULT_BUDGET) -> list[int]:
@@ -308,9 +306,7 @@ def build_report(
     prime dividing B_1.  c_config stands in for the effective
     irreducibility constant, which is configuration, not derivation.
     """
-    if (curve.a1, curve.a2, curve.a3, curve.a6) != (0, 0, 0, 0) or curve.a4 < 1:
-        raise ValueError("ledger reports need a curve y^2 = x(x^2 + b) with b >= 1")
-    b = curve.a4
+    b = curve.b
     if c_config < 1:
         raise ValueError("c_config must be a positive integer")
     if not on_curve(curve, generator):
@@ -327,14 +323,14 @@ def build_report(
 
     s = eds.generate(curve, generator, 1)
     B1 = s.terms[0].B
-    k, p0 = find_k_p0(s, q, T, search_cap, budget)
+    k, p0, complete = find_k_p0(s, q, T, search_cap, budget)
 
-    # re-verify the pair against its defining property
-    v1 = arith.valuation(B1, q)
-    index = q ** (k - v1)
+    # re-verify the pair against its defining property: p0 lies outside T,
+    # divides the term at the index and none of the earlier terms
+    index = q ** (k - arith.valuation(B1, q))
     s = eds.extend(s, index)
-    check = eds.primitive_divisors(s, index, budget)
-    if p0 in T or p0 not in check.primes:
+    B = [t.B for t in s.terms[:index]]
+    if p0 in T or B[-1] % p0 != 0 or any(Bj % p0 == 0 for Bj in B[:-1]):
         raise ArithmeticError("(k, p0) failed re-verification against the sequence")
 
     thr = threshold(k, b, c_config, p0)
@@ -353,7 +349,7 @@ def build_report(
         "c_config is user-supplied configuration, not derived from the sequence",
         _CAP_NOTE,
     ]
-    if not check.complete:
+    if not complete:
         caveats.append(
             f"factoring of the term at index {index} is incomplete; p0 = {p0} is valid "
             "but may not be the least primitive divisor"

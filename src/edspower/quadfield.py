@@ -242,11 +242,6 @@ def primes_above(a: int, p: int, precision: int = 1) -> list[QuadPrime]:
     ]
 
 
-def norm(z: QuadElement) -> Fraction:
-    """x^2 - a*y^2."""
-    return z.norm()
-
-
 def prime_valuation(z: QuadElement, P: QuadPrime) -> int:
     """v_P(z) for integral z and a split or inert prime P with p odd, p not dividing 2a.
 

@@ -1,6 +1,8 @@
 """Slow reference computations the tests compare against."""
 from __future__ import annotations
 
+from edspower import add
+
 
 def iroot_oracle(n: int, k: int) -> int:
     """floor(n ** (1/k)) by bisection."""
@@ -52,3 +54,16 @@ def perfect_power_oracle(n: int) -> tuple[int, int] | None:
         if base**exp == n:
             return base, exp
     return None
+
+
+def torsion_oracle(c, P) -> bool:
+    """True iff nP = infinity for some n <= 12, by repeated addition.
+
+    12 bounds the order of any rational torsion point (Mazur).
+    """
+    Q = P
+    for _ in range(12):
+        if Q.is_infinity:
+            return True
+        Q = add(c, Q, P)
+    return False

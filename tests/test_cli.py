@@ -1,7 +1,7 @@
 import json
+import sys
 
-import pytest
-
+from edspower import Point, generate, make_curve_xb
 from edspower.cli import build_parser, main
 
 
@@ -23,6 +23,19 @@ def test_gen_document(capsys):
     for t in doc["terms"]:
         for key in ("m", "A", "B", "C"):
             int(t[key])
+
+
+def test_gen_past_int_str_digit_limit(capsys):
+    # C_60 has about 5,300 digits, past the default 4,300-digit limit of
+    # Python 3.10.7 and later; main restores the caller's limit
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    doc = run_json(capsys, ["gen", "--b", "5", "--point", "20,90", "--max-m", "60"])
+    assert get_limit() == limit
+    last = generate(make_curve_xb(5), Point(20, 90), 60).terms[-1]
+    assert doc["terms"][-1]["m"] == "60"
+    assert doc["terms"][-1]["B"] == str(last.B)
+    assert len(doc["terms"][-1]["C"]) > 4300
 
 
 def test_gen_table(capsys):

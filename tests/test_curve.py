@@ -1,5 +1,7 @@
+import dataclasses
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -14,21 +16,25 @@ from edspower import (
     neg,
     on_curve,
 )
-from edspower.curve import weierstrass_invariants
+from edspower.frey import weierstrass_invariants
+
+from helpers import torsion_oracle
 
 
 def test_make_curve_xb():
     c = make_curve_xb(5)
-    assert (c.a1, c.a2, c.a3, c.a4, c.a6) == (0, 0, 0, 5, 0)
-    assert c.discriminant == -64 * 125
-    assert c.c4 == -240
+    assert c == Curve(5) and c.b == 5
+    assert [f.name for f in dataclasses.fields(Curve)] == ["b"]
     with pytest.raises(ValueError):
         make_curve_xb(0)
     with pytest.raises(ValueError):
         make_curve_xb(-5)
+    with pytest.raises(ValueError):
+        make_curve_xb(5.0)
 
 
 def test_invariants_of_the_x_cubed_family():
+    # the discriminant -64b^3 never vanishes: every curve of the family is smooth
     for b in range(1, 30):
         disc, c4 = weierstrass_invariants(0, 0, 0, b, 0)
         assert disc == -64 * b**3
@@ -49,11 +55,11 @@ def test_invariants_general_curve():
 
 
 def test_singular_curve_rejected():
+    # b = 0 gives the cuspidal cubic y^2 = x^3
     with pytest.raises(ValueError):
-        Curve(0, 0, 0, 0, 0)
-    # y^2 = x^3 - 3x + 2 = (x-1)^2 (x+2) is singular
+        Curve(0)
     with pytest.raises(ValueError):
-        Curve(0, 0, 0, -3, 2)
+        Curve(-3)
 
 
 def test_point_coercion_and_infinity():
@@ -133,3 +139,27 @@ def test_torsion_detection():
     # generators of the other test curves are free points
     assert not is_torsion(make_curve_xb(3), Point(1, 2))
     assert not is_torsion(make_curve_xb(8), Point(1, 3))
+
+
+def _integral_points(b, x_max):
+    """Affine points of y^2 = x(x^2 + b) with 0 <= x <= x_max and y integral."""
+    for x in range(x_max + 1):
+        rhs = x * (x * x + b)
+        y = isqrt(rhs)
+        if y * y == rhs:
+            yield from {Point(x, y), Point(x, -y)}
+
+
+def test_torsion_matches_oracle():
+    cases = []
+    for b in range(1, 201):
+        c = make_curve_xb(b)
+        for P in _integral_points(b, 400):
+            cases += [(c, P), (c, add(c, P, P))]
+    # b = 4t^4 carries the order-4 points (2t^2, +-4t^3)
+    for t in range(1, 8):
+        c = make_curve_xb(4 * t**4)
+        cases += [(c, Point(2 * t * t, 4 * t**3)), (c, Point(2 * t * t, -4 * t**3))]
+    for c, P in cases:
+        assert on_curve(c, P)
+        assert is_torsion(c, P) == torsion_oracle(c, P), (c, P)

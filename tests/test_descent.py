@@ -1,7 +1,6 @@
 import pytest
 
 from edspower import (
-    Curve,
     EDSTerm,
     HypothesisError,
     construct,
@@ -48,8 +47,6 @@ def test_decompose_validation(base_curve, base_seq):
         decompose(base_curve, t, 0, 36)
     with pytest.raises(HypothesisError):
         decompose(base_curve, EDSTerm(1, 0, 1, 0), 1, 1)  # the 2-torsion shape
-    with pytest.raises(ValueError):
-        decompose(Curve(0, -1, 1, -10, -20), t, 1, 36)  # wrong curve family
 
 
 def test_to_frey_and_construct(base_curve, base_seq):

@@ -4,7 +4,6 @@ import pytest
 
 from edspower import (
     Budget,
-    Curve,
     EDSTerm,
     HypothesisError,
     Point,
@@ -92,16 +91,6 @@ def test_valuation_growth(base_seq):
         check_valuation_growth(base_seq, 7, 2, 2)  # 7 does not divide B_2
     with pytest.raises(ValueError):
         check_valuation_growth(base_seq, 2, 2, 0)
-
-
-def test_valuation_growth_refuses_two_on_odd_a1():
-    c = Curve(1, 0, 0, 0, 1)
-    s = generate(c, Point(0, 1), 8)
-    assert valuation(s.terms[1].B, 2) == 1
-    with pytest.raises(HypothesisError):
-        check_valuation_growth(s, 2, 2, 2)
-    # odd primes are unaffected
-    assert check_valuation_growth(s, 257, 5, 1)
 
 
 def test_primitive_divisors_known_sets(base_seq):

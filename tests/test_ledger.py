@@ -11,8 +11,8 @@ from edspower import (
     SplitType,
     build_report,
     envelope_bound,
-    exact_bound_with_eigenvalues,
     find_k_p0,
+    ledger,
     level_support,
     load_eigenvalue_table,
     make_curve_xb,
@@ -23,13 +23,16 @@ from helpers import is_prime_oracle
 
 
 def test_find_k_p0_doubled_generator(doubled_seq):
-    assert find_k_p0(doubled_seq, 2, {2, 5}) == (3, 7)
-    assert find_k_p0(doubled_seq, 3, {2, 5}) == (3, 11)
+    assert find_k_p0(doubled_seq, 2, {2, 5}) == (3, 7, True)
+    assert find_k_p0(doubled_seq, 3, {2, 5}) == (3, 11, True)
+    # without rho the composite 79 * 983 stays unfactored; 7 is still found
+    tiny = Budget(trial_bound=10, rho_iterations=0)
+    assert find_k_p0(doubled_seq, 2, {2, 5}, budget=tiny) == (3, 7, False)
 
 
 def test_find_k_p0_skips_saturated_index(doubled_seq):
     # with the index-2 primes all excluded, the search moves to index 4
-    assert find_k_p0(doubled_seq, 2, {2, 3, 5, 7, 79, 983}) == (4, 30552001)
+    assert find_k_p0(doubled_seq, 2, {2, 3, 5, 7, 79, 983}) == (4, 30552001, True)
 
 
 def test_find_k_p0_validation(base_curve, base_point, doubled_seq):
@@ -146,7 +149,7 @@ def doubled_report(base_curve, doubled_point):
     return build_report(base_curve, doubled_point, 2, 100)
 
 
-def test_build_report_known_values(doubled_report):
+def test_build_report_known_values(doubled_report, base_curve, doubled_point):
     r = doubled_report
     assert r.b == 5 and r.q == 2 and r.B1 == 36
     assert r.T == (2, 5)
@@ -163,6 +166,12 @@ def test_build_report_known_values(doubled_report):
     assert r.exact_bound is None
     assert any("envelope" in c for c in r.caveats)
     assert any("user-supplied" in c for c in r.caveats)
+    assert not any("incomplete" in c for c in r.caveats)
+    # the caveat follows find_k_p0's completeness flag
+    tiny = Budget(trial_bound=10, rho_iterations=0)
+    r = build_report(base_curve, doubled_point, 2, 100, budget=tiny)
+    assert (r.k, r.p0) == (3, 7)
+    assert any("index 2 is incomplete" in c for c in r.caveats)
 
 
 def test_build_report_to_dict_round_trip(doubled_report):
@@ -185,24 +194,24 @@ def test_build_report_with_eigenvalues(base_curve, doubled_point):
     assert not any("envelope;" in c for c in r.caveats)
 
 
-def test_exact_bound_policies(doubled_report):
+def test_exact_bound_policies(base_curve, doubled_point):
+    def exact_bound(table):
+        return build_report(base_curve, doubled_point, 2, 100, eigen_table=table).exact_bound
+
     # widest usable record wins: |49 + 1 - (-3)| = 53
-    table = [EigenRecord("L", 0, 7, 0), EigenRecord("L", 1, 7, -3)]
-    assert exact_bound_with_eigenvalues(doubled_report, table) == 53
+    assert exact_bound([EigenRecord("L", 0, 7, 0), EigenRecord("L", 1, 7, -3)]) == 53
     # a_p = 5 exceeds 2*sqrt(7) in the rational field but fits N = 49
-    table = [EigenRecord("L", 0, 7, 0), EigenRecord("L", 1, 7, 5)]
-    assert exact_bound_with_eigenvalues(doubled_report, table) == 55
+    assert exact_bound([EigenRecord("L", 0, 7, 0), EigenRecord("L", 1, 7, 5)]) == 55
     # no record usable for the rational field: coverage gap, envelope stands
-    table = [EigenRecord("L", 0, 7, 10)]
-    assert exact_bound_with_eigenvalues(doubled_report, table) is None
+    assert exact_bound([EigenRecord("L", 0, 7, 10)]) is None
     # records at other primes are irrelevant
-    assert exact_bound_with_eigenvalues(doubled_report, [EigenRecord("L", 0, 11, 1)]) is None
+    assert exact_bound([EigenRecord("L", 0, 11, 1)]) is None
     # Ramanujan-Petersson violation for every field is corrupt input
     with pytest.raises(ValueError):
-        exact_bound_with_eigenvalues(doubled_report, [EigenRecord("L", 0, 7, 15)])
+        exact_bound([EigenRecord("L", 0, 7, 15)])
 
 
-def test_build_report_rejections(base_curve, base_point):
+def test_build_report_rejections(base_curve, base_point, monkeypatch):
     with pytest.raises(HypothesisError):
         build_report(base_curve, Point(0, 0), 2, 100)  # torsion
     with pytest.raises(HypothesisError):
@@ -216,6 +225,12 @@ def test_build_report_rejections(base_curve, base_point):
         build_report(base_curve, twoP, 2, 0)  # c_config must be positive
     with pytest.raises(HypothesisError):
         build_report(base_curve, twoP, 7, 100)  # 7 does not divide B_1
+    # the re-verification rejects a pair that is not a primitive divisor
+    # outside T: 5 is in T, 11 does not divide B_2, 3 already divides B_1
+    for bad in (5, 11, 3):
+        monkeypatch.setattr(ledger, "find_k_p0", lambda *args, p0=bad: (3, p0, True))
+        with pytest.raises(ArithmeticError):
+            build_report(base_curve, twoP, 2, 100)
 
 
 def test_build_report_on_second_curve():

@@ -6,7 +6,6 @@ import pytest
 from edspower import (
     QuadElement,
     SplitType,
-    norm,
     prime_valuation,
     primes_above,
     splitting_type,
@@ -29,16 +28,16 @@ def test_element_arithmetic():
 
 def test_norm_and_conjugate():
     z = QuadElement(5, 3, 2)
-    assert norm(z) == 9 - 5 * 4
+    assert z.norm() == 9 - 5 * 4
     assert z.conjugate() == QuadElement(5, 3, -2)
-    assert z * z.conjugate() == QuadElement(5, norm(z), 0)
-    assert norm(QuadElement(5, 0, 1)) == -5
+    assert z * z.conjugate() == QuadElement(5, z.norm(), 0)
+    assert QuadElement(5, 0, 1).norm() == -5
 
 
 def test_rational_field_folds():
     z = QuadElement(1, 2, 3)
     assert (z.x, z.y) == (5, 0)
-    assert norm(z) == 25
+    assert z.norm() == 25
     assert QuadElement(1, 0, 1) == QuadElement(1, 1, 0)
 
 
@@ -169,7 +168,7 @@ def test_prime_valuation_sums_to_norm_valuation():
             kind = splitting_type(a, p)
             if kind == SplitType.RAMIFIED:
                 continue
-            n = norm(z)
+            n = z.norm()
             from edspower import valuation
 
             vn = valuation(n, p) if n % p == 0 else 0
