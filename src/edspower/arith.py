@@ -33,6 +33,12 @@ class Budget:
     trial_bound: int = 1_000_000
     rho_iterations: int = 200_000
 
+    def __post_init__(self):
+        for name, least in (("trial_bound", 2), ("rho_iterations", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
 
 DEFAULT_BUDGET = Budget()
 

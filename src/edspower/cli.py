@@ -13,9 +13,11 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
+from enum import Enum
 from fractions import Fraction
 
 from . import arith, descent, eds, frey, ledger, quadfield
@@ -23,6 +25,7 @@ from .arith import Budget
 from .curve import Curve, Point, make_curve_xb
 from .errors import BudgetExhausted, HypothesisError
 from .frey import FreySolution
+from .quadfield import QuadElement
 
 
 def _parse_point(text: str) -> Point:
@@ -39,29 +42,35 @@ def _point_str(P: Point) -> str:
     return f"{P.x},{P.y}"
 
 
-def _budget(args: argparse.Namespace) -> Budget:
-    if args.trial_bound < 2 or args.rho_iterations < 0:
-        raise ValueError("effort settings must be positive")
-    return Budget(trial_bound=args.trial_bound, rho_iterations=args.rho_iterations)
-
-
-def _quad_dict(z) -> dict:
-    return {"x": str(z.x), "y": str(z.y), "display": str(z)}
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def _stringify(obj):
-    """Integers (and exact rationals) to decimal strings, recursively."""
-    if isinstance(obj, bool):
+    """The JSON form of a result, built in one walk.
+
+    Integers and rationals become decimal strings, an Enum its value, a set
+    a sorted list, a QuadElement {"x", "y", "display"}, and any other
+    dataclass an object keyed by its field names in field order.
+    """
+    if obj is None or isinstance(obj, bool):
         return obj
-    if isinstance(obj, int):
+    if isinstance(obj, (int, Fraction)):
         return str(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, str):
+        return obj
     if isinstance(obj, (list, tuple)):
         return [_stringify(v) for v in obj]
-    return obj
+    if isinstance(obj, dict):
+        return {k: _stringify(v) for k, v in obj.items()}
+    if isinstance(obj, (set, frozenset)):
+        return [_stringify(v) for v in sorted(obj)]
+    if isinstance(obj, QuadElement):
+        return {"x": str(obj.x), "y": str(obj.y), "display": str(obj)}
+    return {name: _stringify(getattr(obj, name)) for name in _field_names(type(obj))}
 
 
 def _curve_and_point(args: argparse.Namespace) -> tuple[Curve, Point]:
@@ -76,7 +85,7 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[dict, list[str]]:
     payload = {
         "b": args.b,
         "generator": _point_str(P),
-        "terms": [{"m": t.m, "A": t.A, "B": t.B, "C": t.C} for t in s.terms],
+        "terms": s.terms,
     }
     rows = [("m", "A", "B", "C")]
     rows += [(str(t.m), str(t.A), str(t.B), str(t.C)) for t in s.terms]
@@ -123,25 +132,19 @@ def _descend_exponent(B: int, ell_arg: int | None) -> tuple[int, int]:
 
 
 def _cmd_descend(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    budget = _budget(args)
+    budget = Budget(args.trial_bound, args.rho_iterations)
     c, P = _curve_and_point(args)
     if args.m < 1:
         raise ValueError("--m must be positive")
     t = eds.term(c, P, args.m)
     ell, w = _descend_exponent(t.B, args.ell)
     d = descent.decompose(c, t, ell, w, budget)
-    fs = descent.to_frey(d)
     payload = {
         "b": args.b,
         "generator": _point_str(P),
-        "term": {"m": t.m, "A": t.A, "B": t.B, "C": t.C},
-        "datum": {
-            "m": d.m, "a": d.a, "u": d.u, "v": d.v,
-            "w": d.w, "ell": d.ell, "b": d.b,
-        },
-        "frey_solution": {
-            "a": fs.a, "d": fs.d, "u": fs.u, "v": fs.v, "w": fs.w, "ell": fs.ell,
-        },
+        "term": t,
+        "datum": d,
+        "frey_solution": descent.to_frey(d),
     }
     lines = [
         f"term m={t.m}: A={t.A} B={t.B} C={t.C}",
@@ -154,19 +157,13 @@ def _cmd_descend(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def _cmd_frey(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    budget = _budget(args)
+    budget = Budget(args.trial_bound, args.rho_iterations)
     sol = FreySolution(a=args.a, d=args.d, u=args.u, v=args.v, w=args.w, ell=args.ell)
     F = frey.construct(sol, budget)
     frey.invariants_oracle(F)
-    payload = {
-        "solution": {"a": sol.a, "d": sol.d, "u": sol.u, "v": sol.v, "w": sol.w, "ell": sol.ell},
-        "field": f"Q(sqrt({F.field_label}))",
-        "a2_coeff": _quad_dict(F.a2_coeff),
-        "a4_coeff": _quad_dict(F.a4_coeff),
-        "delta": _quad_dict(F.delta),
-        "c4": _quad_dict(F.c4),
-        "bad_primes": sorted(F.bad_primes),
-    }
+    # the curve's fields in order, with the field's name placed after the
+    # solution (a repeated key keeps its first position)
+    payload = {"solution": sol, "field": f"Q(sqrt({F.field_label}))", **vars(F)}
     lines = [
         f"field: Q(sqrt({F.field_label}))",
         f"a2 = {F.a2_coeff}",
@@ -184,10 +181,10 @@ def _cmd_frey(args: argparse.Namespace) -> tuple[dict, list[str]]:
             red = frey.classify_reduction(F, qp)
             val, ok = frey.exponent_divisibility(F, qp)
             ideals.append({
-                "kind": qp.kind.value,
+                "kind": qp.kind,
                 "root": qp.root,
                 "residue_norm": qp.residue_norm,
-                "reduction": red.value,
+                "reduction": red,
                 "delta_valuation": val,
                 "ell_divides": ok,
             })
@@ -200,8 +197,8 @@ def _cmd_frey(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _cmd_ledger(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    budget = _budget(args)
+def _cmd_ledger(args: argparse.Namespace) -> tuple[ledger.LedgerReport, list[str]]:
+    budget = Budget(args.trial_bound, args.rho_iterations)
     c, P = _curve_and_point(args)
     table = None
     if args.eigen_table is not None:
@@ -214,7 +211,6 @@ def _cmd_ledger(args: argparse.Namespace) -> tuple[dict, list[str]]:
         c, P, args.q, args.c_config,
         budget=budget, search_cap=args.search_cap, eigen_table=table,
     )
-    payload = report.to_dict()
     lines = [
         f"b = {report.b}, generator {report.generator}",
         f"B_1 = {report.B1}, q = {report.q}, T = {sorted(report.T)}",
@@ -223,15 +219,15 @@ def _cmd_ledger(args: argparse.Namespace) -> tuple[dict, list[str]]:
     ]
     for f in report.candidate_fields:
         lines.append(
-            f"field Q(sqrt({f.a})): p0 {f.splitting.value}, N = {f.envelope.residue_norm}, "
-            f"envelope = {f.envelope.display()} (<= {f.envelope.ceiling}), "
+            f"field Q(sqrt({f.a})): p0 {f.splitting_of_p0.value}, N = {f.envelope.residue_norm}, "
+            f"envelope = {f.envelope.display} (<= {f.envelope.ceiling}), "
             f"level support count = {f.level_support.count}"
         )
     if report.exact_bound is not None:
         lines.append(f"exact bound from eigenvalue table: {report.exact_bound}")
     for note in report.caveats:
         lines.append(f"caveat: {note}")
-    return payload, lines
+    return report, lines
 
 
 @functools.cache
@@ -331,8 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             document = {"tool": "edspower", "command": args.command,
                         "integer_encoding": "decimal string"}
-            document.update(payload)
-            print(json.dumps(_stringify(document), indent=2))
+            document.update(_stringify(payload))
+            print(json.dumps(document, indent=2))
         return 0
     finally:
         if limit is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from . import arith, eds, quadfield
+from . import arith, eds, frey, quadfield
 from .arith import DEFAULT_BUDGET, Budget
 from .curve import Curve, Point, is_torsion, on_curve
 from .eds import Sequence
@@ -36,17 +36,13 @@ class EnvelopeBound:
 
     exact_value is set when N is a perfect square; otherwise the value is
     irrational and only the integer ceiling is reported alongside the
-    symbolic form N + 1 + 2*sqrt(N).
+    symbolic form N + 1 + 2*sqrt(N), which display carries either way.
     """
 
     residue_norm: int
     exact_value: int | None
     ceiling: int
-
-    def display(self) -> str:
-        if self.exact_value is not None:
-            return str(self.exact_value)
-        return f"{self.residue_norm + 1} + 2*sqrt({self.residue_norm})"
+    display: str
 
 
 @dataclass(frozen=True)
@@ -61,8 +57,6 @@ class LevelEntry:
 class LevelSupport:
     """Exponent caps for each prime ideal over the primes of 2ad."""
 
-    a: int
-    d: int
     entries: tuple[LevelEntry, ...]
     count: int
 
@@ -78,7 +72,7 @@ class EigenRecord:
 @dataclass(frozen=True)
 class CandidateField:
     a: int
-    splitting: SplitType
+    splitting_of_p0: SplitType
     envelope: EnvelopeBound
     level_support: LevelSupport
 
@@ -97,46 +91,6 @@ class LedgerReport:
     candidate_fields: tuple[CandidateField, ...]
     exact_bound: int | None
     caveats: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "generator": self.generator,
-            "q": self.q,
-            "B1": self.B1,
-            "T": list(self.T),
-            "k": self.k,
-            "p0": self.p0,
-            "c_config": self.c_config,
-            "threshold": self.threshold,
-            "candidate_fields": [
-                {
-                    "a": f.a,
-                    "splitting_of_p0": f.splitting.value,
-                    "envelope": {
-                        "residue_norm": f.envelope.residue_norm,
-                        "exact_value": f.envelope.exact_value,
-                        "ceiling": f.envelope.ceiling,
-                        "display": f.envelope.display(),
-                    },
-                    "level_support": {
-                        "entries": [
-                            {
-                                "p": e.p,
-                                "kind": e.kind.value,
-                                "ramification": e.ramification,
-                                "cap": e.cap,
-                            }
-                            for e in f.level_support.entries
-                        ],
-                        "count": f.level_support.count,
-                    },
-                }
-                for f in self.candidate_fields
-            ],
-            "exact_bound": self.exact_bound,
-            "caveats": list(self.caveats),
-        }
 
 
 def find_k_p0(
@@ -201,10 +155,10 @@ def envelope_bound(p0: int, a: int) -> EnvelopeBound:
     r = isqrt(N)
     if r * r == N:
         value = (r + 1) ** 2
-        return EnvelopeBound(N, value, value)
+        return EnvelopeBound(N, value, value, str(value))
     # N + 1 + 2*sqrt(N) with 2*sqrt(N) irrational: ceiling via isqrt(4N)
     ceiling = N + 2 + isqrt(4 * N)
-    return EnvelopeBound(N, None, ceiling)
+    return EnvelopeBound(N, None, ceiling, f"{N + 1} + 2*sqrt({N})")
 
 
 def level_support(a: int, d: int) -> LevelSupport:
@@ -216,12 +170,9 @@ def level_support(a: int, d: int) -> LevelSupport:
     """
     if a < 1 or d < 1:
         raise ValueError("a and d must be positive")
-    f = arith.factorize(2 * a * d)
-    if not f.is_complete:
-        raise BudgetExhausted(f"could not fully factor 2ad = {2 * a * d}")
     entries = []
     count = 1
-    for p in sorted(f.factors):
+    for p in sorted(frey.bad_set(a, d)):
         for P in quadfield.primes_above(a, p):
             e = 2 if P.kind is SplitType.RAMIFIED else 1
             if p == 2:
@@ -232,7 +183,7 @@ def level_support(a: int, d: int) -> LevelSupport:
                 cap = 2
             entries.append(LevelEntry(p, P.kind, e, cap))
             count *= cap + 1
-    return LevelSupport(a, d, tuple(entries), count)
+    return LevelSupport(tuple(entries), count)
 
 
 def load_eigenvalue_table(lines) -> list[EigenRecord]:
@@ -281,16 +232,6 @@ def _exact_bound(fields: tuple[CandidateField, ...], p0: int, table: list[EigenR
     return best
 
 
-def _squarefree_divisors(b: int, budget: Budget = DEFAULT_BUDGET) -> list[int]:
-    f = arith.factorize(b, budget)
-    if not f.is_complete:
-        raise BudgetExhausted(f"could not fully factor b = {b}")
-    divisors = [1]
-    for p in sorted(f.factors):
-        divisors += [d * p for d in divisors]
-    return sorted(divisors)
-
-
 def build_report(
     curve: Curve,
     generator: Point,
@@ -316,10 +257,7 @@ def build_report(
     if generator.x.denominator == 1 and generator.y.denominator == 1:
         raise HypothesisError("generator is integral (B_1 = 1); the bound needs B_1 > 1")
 
-    f2b = arith.factorize(2 * b, budget)
-    if not f2b.is_complete:
-        raise BudgetExhausted(f"could not fully factor 2b = {2 * b}")
-    T = set(f2b.factors)
+    T = frey.bad_set(1, b, budget)
 
     s = eds.generate(curve, generator, 1)
     B1 = s.terms[0].B
@@ -334,12 +272,17 @@ def build_report(
         raise ArithmeticError("(k, p0) failed re-verification against the sequence")
 
     thr = threshold(k, b, c_config, p0)
+    # the squarefree divisors of b, from the primes of T that divide it
+    divisors = [1]
+    for p in sorted(T):
+        if b % p == 0:
+            divisors += [a * p for a in divisors]
     fields = []
-    for a in _squarefree_divisors(b, budget):
+    for a in sorted(divisors):
         fields.append(
             CandidateField(
                 a=a,
-                splitting=quadfield.splitting_type(a, p0),
+                splitting_of_p0=quadfield.splitting_type(a, p0),
                 envelope=envelope_bound(p0, a),
                 level_support=level_support(a, b // a),
             )

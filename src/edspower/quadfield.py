@@ -121,9 +121,9 @@ class QuadElement:
 class QuadPrime:
     """A prime of Q(sqrt(a)) over the rational prime p.
 
-    For split primes, root is a square root of a modulo p**precision; the
-    two conjugate primes carry the two roots.  Inert and ramified primes
-    have no root.
+    For split primes, root is a square root of a modulo p; the two
+    conjugate primes carry the two roots.  Inert and ramified primes have
+    no root.
     """
 
     a: int
@@ -131,7 +131,6 @@ class QuadPrime:
     kind: SplitType
     root: int | None
     residue_norm: int
-    precision: int = 1
 
 
 def _require_field_label(a: int, budget: Budget = DEFAULT_BUDGET) -> None:
@@ -195,22 +194,9 @@ def _sqrt_mod_p(a: int, p: int) -> int:
 
 
 def _lift_root(a: int, p: int, r: int, precision: int) -> int:
-    """Hensel lift: a root of x^2 = a mod p into a root mod p**precision."""
+    """Hensel lift: a root of x^2 = a mod an odd prime p into a root mod p**precision."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    if p == 2:
-        # a = 1 mod 8; climb one bit at a time from the root 1 mod 8
-        if a % 8 != 1:
-            raise ValueError("2-adic square roots need a = 1 mod 8")
-        root, k = 1, 3
-        while k < precision:
-            mod_next = 1 << (k + 1)
-            if (root * root - a) % mod_next != 0:
-                root += 1 << (k - 1)
-            if (root * root - a) % mod_next != 0:
-                raise ArithmeticError("2-adic lift failed to progress")
-            k += 1
-        return root % (1 << precision)
     mod = p
     while mod < p**precision:
         mod_next = min(mod * mod, p**precision)
@@ -223,23 +209,19 @@ def _lift_root(a: int, p: int, r: int, precision: int) -> int:
     return r
 
 
-def primes_above(a: int, p: int, precision: int = 1) -> list[QuadPrime]:
-    """The primes of Q(sqrt(a)) over p, with split roots lifted mod p**precision."""
+def primes_above(a: int, p: int) -> list[QuadPrime]:
+    """The primes of Q(sqrt(a)) over p, split ones with their roots mod p."""
     kind = splitting_type(a, p)
     if kind is SplitType.INERT:
-        return [QuadPrime(a, p, kind, None, p * p, precision)]
+        return [QuadPrime(a, p, kind, None, p * p)]
     if kind is SplitType.RAMIFIED:
-        return [QuadPrime(a, p, kind, None, p, precision)]
+        return [QuadPrime(a, p, kind, None, p)]
     if a == 1:
         # rational field: a single entry, root 1 so that x + y*root = x + y
-        return [QuadPrime(a, p, kind, 1, p, precision)]
-    base = _sqrt_mod_p(a, p) if p != 2 else 1
-    r = _lift_root(a, p, base, precision)
-    mod = p**precision
-    return [
-        QuadPrime(a, p, kind, r, p, precision),
-        QuadPrime(a, p, kind, (mod - r) % mod, p, precision),
-    ]
+        return [QuadPrime(a, p, kind, 1, p)]
+    # over 2 (a = 1 mod 8) the root 1 serves both primes
+    r = _sqrt_mod_p(a, p) if p != 2 else 1
+    return [QuadPrime(a, p, kind, r, p), QuadPrime(a, p, kind, (p - r) % p, p)]
 
 
 def prime_valuation(z: QuadElement, P: QuadPrime) -> int:
@@ -273,12 +255,12 @@ def prime_valuation(z: QuadElement, P: QuadPrime) -> int:
     x, y = int(z.x), int(z.y)
     if P.root is None:
         raise ValueError("split prime is missing its root")
-    t = max(P.precision, 1)
+    t = 1
     cap = 4 * (v_norm + 2)
     while True:
         if t > cap:
             raise ArithmeticError("lift precision exhausted without resolving the valuation")
-        base = P.root if t <= P.precision else _lift_root(z.a, P.p, P.root % P.p, t)
+        base = P.root if t == 1 else _lift_root(z.a, P.p, P.root % P.p, t)
         mod = P.p**t
         here = (x + y * base) % mod
         conj = (x - y * base) % mod

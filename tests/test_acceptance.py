@@ -194,7 +194,7 @@ def test_exponent_bound_assembly():
     assert (r.k, r.p0, r.threshold) == (3, 7, 100)
     assert r.T == (2, 5)
     quad = next(f for f in r.candidate_fields if f.a == 5)
-    assert quad.splitting == SplitType.INERT
+    assert quad.splitting_of_p0 == SplitType.INERT
     assert quad.envelope.exact_value == 64
     assert quad.level_support.count == 27
     assert time.perf_counter() - start < 10.0

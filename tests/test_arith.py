@@ -90,6 +90,19 @@ def test_factorize_is_deterministic():
     assert factorize(n, little) == factorize(n, little)
 
 
+def test_budget_validation():
+    Budget(trial_bound=2, rho_iterations=0)  # the least accepted values
+    for kwargs, field in (
+        ({"trial_bound": 1}, "trial_bound"),
+        ({"trial_bound": 1000.0}, "trial_bound"),
+        ({"trial_bound": True}, "trial_bound"),
+        ({"rho_iterations": -1}, "rho_iterations"),
+        ({"rho_iterations": "10"}, "rho_iterations"),
+    ):
+        with pytest.raises(ValueError, match=field):
+            Budget(**kwargs)
+
+
 def test_valuation():
     assert valuation(48, 2) == 4
     assert valuation(48, 3) == 1

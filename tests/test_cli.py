@@ -1,8 +1,24 @@
 import json
 import sys
+from dataclasses import fields
 
-from edspower import Point, generate, make_curve_xb
+from edspower import (
+    DescentDatum,
+    EDSTerm,
+    EnvelopeBound,
+    FreySolution,
+    LedgerReport,
+    LevelSupport,
+    Point,
+    generate,
+    make_curve_xb,
+)
 from edspower.cli import build_parser, main
+from edspower.ledger import CandidateField, LevelEntry
+
+
+def field_names(cls):
+    return [f.name for f in fields(cls)]
 
 
 def run_json(capsys, argv):
@@ -60,6 +76,10 @@ def test_descend_document(capsys):
     assert (datum["a"], datum["u"], datum["v"]) == ("1", "79", "6881")
     assert doc["frey_solution"]["d"] == "5"
     assert doc["frey_solution"]["w"] == "36"
+    # each object mirrors its dataclass field for field
+    assert list(doc["term"]) == field_names(EDSTerm)
+    assert list(datum) == field_names(DescentDatum)
+    assert list(doc["frey_solution"]) == field_names(FreySolution)
 
 
 def test_descend_maximal_exponent_default(capsys):
@@ -79,6 +99,7 @@ def test_frey_document(capsys):
     ])
     assert doc["delta"]["x"] == "-56422198149120"
     assert doc["c4"]["x"] == "337984"
+    assert list(doc["solution"]) == field_names(FreySolution)
     assert doc["bad_primes"] == ["2", "5"]
     ideal = doc["prime_analysis"]["ideals"][0]
     assert ideal["reduction"] == "multiplicative"
@@ -109,10 +130,19 @@ def test_ledger_document(capsys):
     assert doc["k"] == "3" and doc["p0"] == "7"
     assert doc["threshold"] == "100"
     assert doc["T"] == ["2", "5"]
-    fields = doc["candidate_fields"]
-    assert fields[1]["envelope"]["exact_value"] == "64"
-    assert fields[1]["level_support"]["count"] == "27"
+    candidates = doc["candidate_fields"]
+    assert candidates[1]["envelope"]["exact_value"] == "64"
+    assert candidates[0]["envelope"]["display"] == "8 + 2*sqrt(7)"
+    assert candidates[1]["level_support"]["count"] == "27"
     assert doc["exact_bound"] is None
+    for f in candidates:
+        assert list(f) == field_names(CandidateField)
+        assert list(f["envelope"]) == field_names(EnvelopeBound)
+        assert list(f["level_support"]) == field_names(LevelSupport)
+        for entry in f["level_support"]["entries"]:
+            assert list(entry) == field_names(LevelEntry)
+    header = ["tool", "command", "integer_encoding"]
+    assert list(doc) == header + field_names(LedgerReport)
 
 
 def test_ledger_with_eigen_table(capsys, tmp_path):
@@ -154,6 +184,12 @@ def test_budget_exhaustion_exit_code(capsys):
                  "--trial-bound", "10", "--rho-iterations", "0"])
     assert code == 4
     assert "factor" in capsys.readouterr().err
+
+
+def test_effort_settings_validated(capsys):
+    assert main(["descend", "--b", "5", "--point", "20,90", "--m", "2",
+                 "--trial-bound", "1"]) == 2
+    assert "trial_bound" in capsys.readouterr().err
 
 
 def test_output_is_deterministic(capsys):

@@ -69,10 +69,10 @@ def test_threshold():
 def test_envelope_bound_known_values():
     e = envelope_bound(7, 5)
     assert (e.residue_norm, e.exact_value, e.ceiling) == (49, 64, 64)
-    assert e.display() == "64"
+    assert e.display == "64"
     e = envelope_bound(7, 1)
     assert (e.residue_norm, e.exact_value, e.ceiling) == (7, None, 14)
-    assert e.display() == "8 + 2*sqrt(7)"
+    assert e.display == "8 + 2*sqrt(7)"
     e = envelope_bound(11, 5)
     assert (e.residue_norm, e.exact_value, e.ceiling) == (11, None, 19)
     with pytest.raises(ValueError):
@@ -157,11 +157,11 @@ def test_build_report_known_values(doubled_report, base_curve, doubled_point):
     assert r.threshold == 100
     assert [f.a for f in r.candidate_fields] == [1, 5]
     quad = r.candidate_fields[1]
-    assert quad.splitting == SplitType.INERT
+    assert quad.splitting_of_p0 == SplitType.INERT
     assert quad.envelope.exact_value == 64
     assert quad.level_support.count == 27
     rational = r.candidate_fields[0]
-    assert rational.splitting == SplitType.SPLIT
+    assert rational.splitting_of_p0 == SplitType.SPLIT
     assert rational.envelope.ceiling == 14
     assert r.exact_bound is None
     assert any("envelope" in c for c in r.caveats)
@@ -172,19 +172,6 @@ def test_build_report_known_values(doubled_report, base_curve, doubled_point):
     r = build_report(base_curve, doubled_point, 2, 100, budget=tiny)
     assert (r.k, r.p0) == (3, 7)
     assert any("index 2 is incomplete" in c for c in r.caveats)
-
-
-def test_build_report_to_dict_round_trip(doubled_report):
-    d = doubled_report.to_dict()
-    assert d["k"] == 3 and d["p0"] == 7
-    assert d["threshold"] == 100
-    assert d["T"] == [2, 5]
-    assert d["candidate_fields"][1]["envelope"]["exact_value"] == 64
-    assert d["candidate_fields"][0]["envelope"]["display"] == "8 + 2*sqrt(7)"
-    assert d["candidate_fields"][1]["level_support"]["count"] == 27
-    import json
-
-    json.dumps(d)  # serializable as-is
 
 
 def test_build_report_with_eigenvalues(base_curve, doubled_point):
