@@ -112,26 +112,36 @@ def _small_primes_upto(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def _trial_divide(m: int, bound: int, factors: dict[int, int]) -> int:
-    """Strip prime factors <= bound from m, recording them in factors."""
+def trial_factors(m: int, bound: int):
+    """Yield (p, e, rest) for the primes p dividing m > 0, in increasing order.
+
+    p**e exactly divides m, and rest is what remains of m once p and every
+    smaller prime are stripped.  The primes 2, 3 and 5 are always tried,
+    then the wheel runs up to bound.  A remainder with no divisor up to
+    its square root is prime and comes last, with rest 1; otherwise the
+    last rest is the cofactor left for the rho stage, every prime factor
+    of which exceeds bound.
+    """
     for p in (2, 3, 5):
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            yield p, e, m
     p = 7
     i = 0
     while p <= bound and p * p <= m:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            yield p, e, m
         p += _WHEEL[i]
         i = (i + 1) & 7
-    # if the loop ended because p*p > m, the remainder has no divisor up to
-    # its square root and is therefore prime
     if m > 1 and p * p > m:
-        factors[m] = factors.get(m, 0) + 1
-        m = 1
-    return m
+        yield m, 1, 1
 
 
 def _brent_rho(n: int, budget_box: list[int], rng: random.Random) -> int | None:
@@ -169,6 +179,36 @@ def _brent_rho(n: int, budget_box: list[int], rng: random.Random) -> int | None:
     return None
 
 
+def rho_factors(m: int, budget: Budget) -> tuple[dict[int, int], int]:
+    """Split m > 1 by Brent-variant Pollard rho under budget.rho_iterations.
+
+    Returns (factors, cofactor): the primes found with their exponents and
+    the product of the parts the budget left unsplit (1 when none).  Meant
+    for the cofactor trial division leaves, so it does no trial division.
+    """
+    factors: dict[int, int] = {}
+    cofactor = 1
+    budget_box = [budget.rho_iterations]
+    stack: list[tuple[int, int]] = [(m, 1)]
+    while stack:
+        comp, mult = stack.pop()
+        if is_probable_prime(comp):
+            factors[comp] = factors.get(comp, 0) + mult
+            continue
+        pp = perfect_power(comp)
+        if pp is not None:
+            w, e = pp
+            stack.append((w, mult * e))
+            continue
+        g = _brent_rho(comp, budget_box, random.Random(comp))
+        if g is None:
+            cofactor *= comp**mult
+        else:
+            stack.append((g, mult))
+            stack.append((comp // g, mult))
+    return factors, cofactor
+
+
 def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
     """Factor |n| within the given effort budget.
 
@@ -178,31 +218,14 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    m = abs(n)
     factors: dict[int, int] = {}
-    if m == 1:
-        return Factorization(factors, 1)
-    m = _trial_divide(m, budget.trial_bound, factors)
+    rest = abs(n)
+    for p, e, rest in trial_factors(rest, budget.trial_bound):
+        factors[p] = e
     cofactor = 1
-    if m > 1:
-        budget_box = [budget.rho_iterations]
-        stack: list[tuple[int, int]] = [(m, 1)]
-        while stack:
-            comp, mult = stack.pop()
-            if is_probable_prime(comp):
-                factors[comp] = factors.get(comp, 0) + mult
-                continue
-            pp = perfect_power(comp)
-            if pp is not None:
-                w, e = pp
-                stack.append((w, mult * e))
-                continue
-            g = _brent_rho(comp, budget_box, random.Random(comp))
-            if g is None:
-                cofactor *= comp**mult
-            else:
-                stack.append((g, mult))
-                stack.append((comp // g, mult))
+    if rest > 1:
+        found, cofactor = rho_factors(rest, budget)
+        factors.update(found)
     result = Factorization(factors, cofactor)
     if result.magnitude() != abs(n):
         raise ArithmeticError("factorization does not reassemble to |n|")

@@ -8,7 +8,8 @@ exposed to 64-bit truncation; --table switches to plain text.
 
 Exit codes: 0 success, 2 usage or malformed input, 3 hypothesis violation
 (torsion or integral generator, term not a power), 4 factoring budget
-exhausted.
+exhausted, 5 an internal arithmetic check failed (a result did not pass
+its re-verification).
 """
 from __future__ import annotations
 
@@ -322,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except ArithmeticError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 5
         if args.table:
             print("\n".join(lines))
         else:

@@ -127,13 +127,18 @@ def check_valuation_growth(s: Sequence, p: int, n: int, k: int) -> bool:
 
 
 def primitive_divisors(s: Sequence, m: int, budget: Budget = DEFAULT_BUDGET) -> PrimitiveDivisors:
-    """Primes dividing B_m but none of B_1 .. B_{m-1}, up to factoring effort."""
+    """Primes dividing B_m but none of B_1 .. B_{m-1}, up to factoring effort.
+
+    By strong divisibility the first index whose term a prime divides
+    divides every index whose term it divides, so a prime of B_m is
+    primitive exactly when it divides no B_{m/r} for a prime r | m.
+    """
     bm = _get_B(s, m)
     if bm == 1:
         return PrimitiveDivisors(frozenset(), True)
     f = arith.factorize(bm, budget)
-    earlier = [s.terms[j].B for j in range(m - 1)]
-    prim = frozenset(p for p in f.factors if all(B % p != 0 for B in earlier))
+    below = [_get_B(s, m // r) for r, _, _ in arith.trial_factors(m, m)]
+    prim = frozenset(p for p in f.factors if all(B % p for B in below))
     return PrimitiveDivisors(prim, f.is_complete)
 
 

@@ -93,21 +93,43 @@ class LedgerReport:
     caveats: tuple[str, ...]
 
 
+def _least_primitive(B: int, B_prev: int, T: set[int], budget: Budget) -> tuple[int | None, bool]:
+    """The least prime of B outside T that does not divide B_prev.
+
+    Primes are walked upward by trial division, so the first one that
+    qualifies is the least; past budget.trial_bound only the leftover
+    cofactor goes to rho.  Returns (p, settled), p None when no prime
+    qualifies; settled is False when rho left part of B unsplit, so a
+    smaller qualifying prime, or with p None any, may hide there.
+    """
+    rest = B
+    for p, _, rest in arith.trial_factors(B, budget.trial_bound):
+        if p not in T and B_prev % p:
+            return p, True
+    if rest == 1:
+        return None, True
+    found, cofactor = arith.rho_factors(rest, budget)
+    return min((p for p in found if p not in T and B_prev % p), default=None), cofactor == 1
+
+
 def find_k_p0(
     s: Sequence,
     q: int,
     T: set[int],
     search_cap: int = DEFAULT_SEARCH_CAP,
     budget: Budget = DEFAULT_BUDGET,
-) -> tuple[int, int, bool]:
+) -> tuple[int, int, tuple[int, ...]]:
     """Smallest k whose index q^(k - v_q(B_1)) has a primitive divisor outside T.
 
-    Returns (k, p0, complete) with p0 the least such primitive divisor
-    found; complete is False when the factoring of the term at that index
-    was cut short, so a smaller primitive divisor may exist.  The search
-    walks indices q, q^2, ... up to search_cap, extending the
-    sequence as needed; exhaustion raises BudgetExhausted with the progress
-    made.
+    Returns (k, p0, incomplete) with p0 the least such primitive divisor
+    found.  The search walks indices n = q, q^2, ... up to search_cap,
+    extending the sequence as needed.  By strong divisibility a prime of
+    B_n is primitive exactly when it does not divide B_{n/q}, so at each
+    index the primes of B_n are walked upward and the first one outside T
+    that passes this test is p0.  incomplete lists the indices, passed or
+    stopped at, whose factoring the budget cut short; when it is empty the
+    pair is proven least, otherwise a smaller k or p0 may exist.
+    Exhaustion raises BudgetExhausted with the progress made.
     """
     if not s.terms:
         raise ValueError("sequence has no terms")
@@ -120,19 +142,21 @@ def find_k_p0(
         raise HypothesisError(f"q = {q} does not divide B_1 = {B1}")
     v1 = arith.valuation(B1, q)
     tried = []
+    incomplete = []
     j = 1
     while q**j <= search_cap:
         index = q**j
         s = eds.extend(s, index)
-        found = eds.primitive_divisors(s, index, budget)
-        candidates = sorted(p for p in found.primes if p not in T)
-        if candidates:
-            return v1 + j, candidates[0], found.complete
-        tried.append((index, found.complete))
+        p0, settled = _least_primitive(s.terms[index - 1].B, s.terms[index // q - 1].B, T, budget)
+        if not settled:
+            incomplete.append(index)
+        if p0 is not None:
+            return v1 + j, p0, tuple(incomplete)
+        tried.append(index)
         j += 1
     detail = ", ".join(
-        f"index {idx} ({'fully factored' if comp else 'factoring incomplete'})"
-        for idx, comp in tried
+        f"index {idx} ({'factoring incomplete' if idx in incomplete else 'fully factored'})"
+        for idx in tried
     )
     raise BudgetExhausted(
         f"no primitive divisor outside T at indices up to {search_cap}; tried {detail or 'nothing'}"
@@ -261,7 +285,7 @@ def build_report(
 
     s = eds.generate(curve, generator, 1)
     B1 = s.terms[0].B
-    k, p0, complete = find_k_p0(s, q, T, search_cap, budget)
+    k, p0, incomplete = find_k_p0(s, q, T, search_cap, budget)
 
     # re-verify the pair against its defining property: p0 lies outside T,
     # divides the term at the index and none of the earlier terms
@@ -292,10 +316,11 @@ def build_report(
         "c_config is user-supplied configuration, not derived from the sequence",
         _CAP_NOTE,
     ]
-    if not complete:
+    if incomplete:
         caveats.append(
-            f"factoring of the term at index {index} is incomplete; p0 = {p0} is valid "
-            "but may not be the least primitive divisor"
+            f"factoring is incomplete at {'index' if len(incomplete) == 1 else 'indices'} "
+            f"{', '.join(map(str, incomplete))}; (k, p0) = ({k}, {p0}) is valid "
+            "but k or p0 may not be the least"
         )
     exact = None
     if eigen_table is not None:

@@ -1,7 +1,7 @@
 """Slow reference computations the tests compare against."""
 from __future__ import annotations
 
-from edspower import add
+from edspower import DEFAULT_BUDGET, add, extend, factorize, valuation
 
 
 def iroot_oracle(n: int, k: int) -> int:
@@ -67,3 +67,29 @@ def torsion_oracle(c, P) -> bool:
             return True
         Q = add(c, Q, P)
     return False
+
+
+def primitive_primes_oracle(s, m: int, primes) -> frozenset[int]:
+    """The primes among `primes` that divide B_m and none of B_1..B_{m-1}."""
+    Bm = s.terms[m - 1].B
+    earlier = [t.B for t in s.terms[: m - 1]]
+    return frozenset(p for p in primes if Bm % p == 0 and all(B % p for B in earlier))
+
+
+def find_k_p0_oracle(s, q: int, T, search_cap: int, budget=DEFAULT_BUDGET):
+    """(k, p0) by factoring each index term q^j in full, or None up to search_cap.
+
+    p0 is the least primitive prime outside T among the primes the budget
+    finds, primitivity checked against every earlier term.
+    """
+    v1 = valuation(s.terms[0].B, q)
+    j = 1
+    while q**j <= search_cap:
+        index = q**j
+        s = extend(s, index)
+        primes = factorize(s.terms[index - 1].B, budget).factors
+        found = sorted(p for p in primitive_primes_oracle(s, index, primes) if p not in T)
+        if found:
+            return v1 + j, found[0]
+        j += 1
+    return None

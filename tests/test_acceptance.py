@@ -184,7 +184,7 @@ def test_exponent_bound_assembly():
     c = make_curve_xb(5)
     twoP = mul(c, 2, Point(20, 90))
     s = generate(c, twoP, 1)
-    assert find_k_p0(s, 2, {2, 5}) == (3, 7, True)
+    assert find_k_p0(s, 2, {2, 5}) == (3, 7, ())
     assert threshold(3, 5, 100, 7) == 100
     env = envelope_bound(7, 5)
     assert env.residue_norm == 49 and env.exact_value == 64

@@ -11,6 +11,7 @@ from edspower import (
     LevelSupport,
     Point,
     generate,
+    ledger,
     make_curve_xb,
 )
 from edspower.cli import build_parser, main
@@ -184,6 +185,18 @@ def test_budget_exhaustion_exit_code(capsys):
                  "--trial-bound", "10", "--rho-iterations", "0"])
     assert code == 4
     assert "factor" in capsys.readouterr().err
+
+
+def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):
+    # a (k, p0) pair that fails re-verification: 11 does not divide B_2
+    monkeypatch.setattr(ledger, "find_k_p0", lambda *args: (3, 11, ()))
+    code = main(["ledger", "--b", "5", "--point", "6241/1296,543599/46656",
+                 "--q", "2", "--c-config", "100"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "re-verification" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_effort_settings_validated(capsys):

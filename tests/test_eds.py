@@ -8,6 +8,7 @@ from edspower import (
     HypothesisError,
     Point,
     Sequence,
+    arith,
     check_strong_divisibility,
     check_valuation_growth,
     extend,
@@ -19,6 +20,8 @@ from edspower import (
     term,
     valuation,
 )
+
+from helpers import primitive_primes_oracle
 
 
 def test_first_terms_known_values(base_curve, base_point, base_seq):
@@ -106,6 +109,22 @@ def test_primitive_divisors_incomplete_budget(base_seq):
     pd = primitive_divisors(base_seq, 7, Budget(trial_bound=1000, rho_iterations=8))
     assert not pd.complete
     assert pd.primes == frozenset()
+
+
+def test_primitive_divisors_match_all_earlier_terms(base_seq, monkeypatch):
+    # both sides get the same primes: those trial division finds in B_m,
+    # where checking B_{m/r} for r | m must agree with checking every
+    # earlier term
+    trial = Budget(trial_bound=20_000, rho_iterations=0)
+    found = {t.B: arith.factorize(t.B, trial) for t in base_seq.terms[1:]}
+    monkeypatch.setattr(arith, "factorize", lambda n, budget: found[n])
+    nonprimitive = 0
+    for m in range(2, 25):
+        pd = primitive_divisors(base_seq, m)
+        expected = primitive_primes_oracle(base_seq, m, found[base_seq.terms[m - 1].B].factors)
+        assert pd.primes == expected, m
+        nonprimitive += len(found[base_seq.terms[m - 1].B].factors) - len(expected)
+    assert nonprimitive > 20
 
 
 def test_primitive_divisors_every_early_term(base_seq):

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -9,30 +11,87 @@ from edspower import (
     HypothesisError,
     Point,
     SplitType,
+    arith,
+    bad_set,
     build_report,
     envelope_bound,
     find_k_p0,
+    generate,
+    is_torsion,
     ledger,
     level_support,
     load_eigenvalue_table,
     make_curve_xb,
+    mul,
     threshold,
 )
 
-from helpers import is_prime_oracle
+from helpers import find_k_p0_oracle, is_prime_oracle
 
 
 def test_find_k_p0_doubled_generator(doubled_seq):
-    assert find_k_p0(doubled_seq, 2, {2, 5}) == (3, 7, True)
-    assert find_k_p0(doubled_seq, 3, {2, 5}) == (3, 11, True)
-    # without rho the composite 79 * 983 stays unfactored; 7 is still found
+    assert find_k_p0(doubled_seq, 2, {2, 5}) == (3, 7, ())
+    assert find_k_p0(doubled_seq, 3, {2, 5}) == (3, 11, ())
+    # without rho 79 * 983 stays unfactored, but the walk reaches 7 first,
+    # so 7 is proven the least
     tiny = Budget(trial_bound=10, rho_iterations=0)
-    assert find_k_p0(doubled_seq, 2, {2, 5}, budget=tiny) == (3, 7, False)
+    assert find_k_p0(doubled_seq, 2, {2, 5}, budget=tiny) == (3, 7, ())
+    # no prime up to 10 qualifies at index 3; rho finds 61 but leaves a
+    # composite, so a smaller primitive prime may hide there
+    small = Budget(trial_bound=10, rho_iterations=8)
+    assert find_k_p0(doubled_seq, 3, {2, 3, 5, 7, 11}, budget=small) == (3, 61, (3,))
 
 
 def test_find_k_p0_skips_saturated_index(doubled_seq):
     # with the index-2 primes all excluded, the search moves to index 4
-    assert find_k_p0(doubled_seq, 2, {2, 3, 5, 7, 79, 983}) == (4, 30552001, True)
+    assert find_k_p0(doubled_seq, 2, {2, 3, 5, 7, 79, 983}) == (4, 30552001, ())
+
+
+def test_find_k_p0_incomplete_indices_are_reported(doubled_seq):
+    T = {2, 3, 5, 7, 11, 61}
+    # the default budget settles index 3: 97 is the least primitive prime
+    assert find_k_p0(doubled_seq, 3, T) == (3, 97, ())
+    # a small budget leaves indices 3 and 9 unfactored and passes them, and
+    # finds 107 at 27 by rho, so neither k nor p0 is proven least
+    small = Budget(trial_bound=10, rho_iterations=16)
+    assert find_k_p0(doubled_seq, 3, T, budget=small) == (5, 107, (3, 9, 27))
+
+
+def _sweep_cases(seed, count):
+    """(b, generator, q): 2P or 3P of integral points with b <= 80, q | B_1."""
+    cases = []
+    for b in range(1, 81):
+        c = make_curve_xb(b)
+        for x in range(1, 60):
+            y = isqrt(x * (x * x + b))
+            if y * y != x * (x * x + b) or is_torsion(c, Point(x, y)):
+                continue
+            for m in (2, 3):
+                Q = mul(c, m, Point(x, y))
+                for q in arith.factorize(isqrt(Q.x.denominator)).factors:
+                    cases.append((b, Q, q))
+    return random.Random(seed).sample(cases, count)
+
+
+def test_find_k_p0_matches_factoring_oracle(doubled_seq):
+    # both sides get the same budget, so the oracle's full factoring finds
+    # every prime the walk can reach
+    for q, T in ((2, {2, 5}), (3, {2, 5}), (2, {2, 3, 5, 7, 79, 983}),
+                 (3, {2, 3, 5, 7, 11, 61})):
+        assert find_k_p0(doubled_seq, q, T)[:2] == find_k_p0_oracle(doubled_seq, q, T, 64)
+    budget = Budget(trial_bound=10_000, rho_iterations=300)
+    settled = 0
+    for b, Q, q in _sweep_cases(7, 60):
+        s = generate(make_curve_xb(b), Q, 1)
+        T = bad_set(1, b)
+        try:
+            k, p0, incomplete = find_k_p0(s, q, T, 16, budget)
+        except BudgetExhausted:
+            assert find_k_p0_oracle(s, q, T, 16, budget) is None, (b, Q, q)
+            continue
+        assert (k, p0) == find_k_p0_oracle(s, q, T, 16, budget), (b, Q, q)
+        settled += not incomplete
+    assert settled >= 30
 
 
 def test_find_k_p0_validation(base_curve, base_point, doubled_seq):
@@ -167,11 +226,52 @@ def test_build_report_known_values(doubled_report, base_curve, doubled_point):
     assert any("envelope" in c for c in r.caveats)
     assert any("user-supplied" in c for c in r.caveats)
     assert not any("incomplete" in c for c in r.caveats)
-    # the caveat follows find_k_p0's completeness flag
+    # 7 <= trial_bound is proven least even when rho is off
     tiny = Budget(trial_bound=10, rho_iterations=0)
     r = build_report(base_curve, doubled_point, 2, 100, budget=tiny)
     assert (r.k, r.p0) == (3, 7)
-    assert any("index 2 is incomplete" in c for c in r.caveats)
+    assert not any("incomplete" in c for c in r.caveats)
+    # 11 lies past the bound and rho leaves a composite at index 3
+    small = Budget(trial_bound=10, rho_iterations=8)
+    r = build_report(base_curve, doubled_point, 3, 100, budget=small)
+    assert (r.k, r.p0) == (3, 11)
+    assert any("incomplete at index 3;" in c for c in r.caveats)
+
+
+def test_build_report_caveat_names_every_incomplete_index(base_curve, doubled_point, monkeypatch):
+    # widen T so the search passes two unfactored indices before it stops
+    real = ledger.find_k_p0
+    monkeypatch.setattr(ledger, "find_k_p0", lambda s, q, T, *rest: real(s, q, T | {3, 7, 11, 61}, *rest))
+    small = Budget(trial_bound=10, rho_iterations=16)
+    r = build_report(base_curve, doubled_point, 3, 100, budget=small)
+    assert (r.k, r.p0) == (5, 107)
+    note = next(c for c in r.caveats if "incomplete" in c)
+    assert "indices 3, 9, 27;" in note and "k or p0 may not be the least" in note
+
+
+def test_build_report_walk_does_not_factor_the_index_term(base_curve, doubled_point, monkeypatch):
+    # p0 = 7 <= trial_bound: only divisors of 2b = 10, for T, the field
+    # labels and the level supports, may be factored
+    real = arith.factorize
+
+    def guarded(n, budget=arith.DEFAULT_BUDGET):
+        if 10 % n:
+            raise AssertionError(f"factorize({n}) called")
+        return real(n, budget)
+
+    monkeypatch.setattr(arith, "factorize", guarded)
+    r = build_report(base_curve, doubled_point, 2, 100)
+    assert (r.k, r.p0) == (3, 7)
+
+
+def test_build_report_large_index_term():
+    # B_1 = 47 and B_47 has 17,901 bits: the walk stops at 15791 instead of
+    # factoring the term
+    c = make_curve_xb(14)
+    P = Point(Fraction(103058, 2209), Fraction(-33190578, 103823))
+    r = build_report(c, P, 47, 100)
+    assert (r.k, r.p0) == (2, 15791)
+    assert not any("incomplete" in note for note in r.caveats)
 
 
 def test_build_report_with_eigenvalues(base_curve, doubled_point):
@@ -215,7 +315,7 @@ def test_build_report_rejections(base_curve, base_point, monkeypatch):
     # the re-verification rejects a pair that is not a primitive divisor
     # outside T: 5 is in T, 11 does not divide B_2, 3 already divides B_1
     for bad in (5, 11, 3):
-        monkeypatch.setattr(ledger, "find_k_p0", lambda *args, p0=bad: (3, p0, True))
+        monkeypatch.setattr(ledger, "find_k_p0", lambda *args, p0=bad: (3, p0, ()))
         with pytest.raises(ArithmeticError):
             build_report(base_curve, twoP, 2, 100)
 
