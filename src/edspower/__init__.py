@@ -19,7 +19,7 @@ from .arith import (
     squarefree_split,
     valuation,
 )
-from .curve import Curve, INFINITY, Point, add, is_torsion, make_curve_xb, mul, neg, on_curve
+from .curve import Curve, INFINITY, Point, is_torsion, make_curve_xb, mul, on_curve
 from .descent import DescentDatum, decompose, to_frey
 from .eds import (
     EDSTerm,
@@ -55,8 +55,8 @@ __all__ = [
     "Budget", "DEFAULT_BUDGET", "Factorization", "exact_root", "factorize",
     "is_probable_prime", "is_squarefree", "perfect_power", "squarefree_split",
     "valuation",
-    "Curve", "INFINITY", "Point", "add", "is_torsion", "make_curve_xb", "mul",
-    "neg", "on_curve",
+    "Curve", "INFINITY", "Point", "is_torsion", "make_curve_xb", "mul",
+    "on_curve",
     "EDSTerm", "PrimitiveDivisors", "Sequence", "check_strong_divisibility",
     "check_valuation_growth", "extend", "generate", "primitive_divisors",
     "scan_powers", "term",

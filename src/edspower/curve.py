@@ -1,14 +1,21 @@
-"""The curves y^2 = x(x^2 + b), b a positive integer, with an exact group law.
+"""The curves y^2 = x(x^2 + b), b a positive integer, and the multiples of a point.
 
 Every curve of the package belongs to this one family.  Its discriminant
 -64b^3 never vanishes, so every member is nonsingular.  Points carry exact
-Fraction coordinates.  No floating point anywhere: the sequence extraction
-downstream needs bit-exact denominators.
+Fraction coordinates.  The multiples nP of a non-torsion point come from
+one integer recurrence, the elliptic net of P, reduced by one gcd per
+multiple; there is no chord-tangent group law here.  No floating point
+anywhere: the sequences downstream need bit-exact denominators.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
+from typing import Callable
+
+from .errors import HypothesisError
 
 
 @dataclass(frozen=True)
@@ -57,44 +64,91 @@ def on_curve(c: Curve, P: Point) -> bool:
     return y * y == x * (x * x + c.b)
 
 
-def neg(c: Curve, P: Point) -> Point:
-    if P.is_infinity:
-        return P
-    return Point(P.x, -P.y)
+def net(c: Curve, P: Point) -> Callable[[int], tuple[int, int, int]]:
+    """n -> (A_n, B_n, C_n) of nP = (A_n/B_n^2, C_n/B_n^3), read off the elliptic net of P.
+
+    P must be a non-torsion point of c (so not O).  With P = (A/B^2, C/B^3)
+    the net W_n = B^(n^2-1) psi_n(P) is an integer sequence (Ward 1948;
+    Stange 2007, "Elliptic nets"), and
+        x(nP) = (A W_n^2 - W_{n-1} W_{n+1}) / (B W_n)^2, reduced by one gcd,
+        y(nP) = (W_{n+2} W_{n-1}^2 - W_{n-2} W_{n+1}^2) / (2 W_2 (B W_n)^3).
+    Where P is singular mod p, W_n carries p^(g n^2 - r(n)) beyond B_n, with
+    r periodic in n (local heights): at some generators more bits than B_n
+    itself.  The reduction there is additive, so 5P lies on the component of
+    +-P and the excess of W_5 is H = prod p^(24 g).  The memo holds
+    V_n = W_n / H^t(n), t(n) = (n^2 - 1) // 24, with about the bits of B_n;
+    every division is checked to be exact.
+    """
+    if not on_curve(c, P):
+        raise ValueError("point does not satisfy the curve equation")
+    if is_torsion(c, P):
+        raise HypothesisError("generator is a torsion point")
+    # a rational point of the curve has x = A/B^2, y = C/B^3 in lowest terms
+    A, B, C = P.x.numerator, isqrt(P.x.denominator), P.y.numerator
+    A2, u = A * A, c.b * B**4
+    W = {-1: -1, 0: 0, 1: 1, 2: 2 * C, 3: 3 * A2 * A2 + 6 * u * A2 - u * u,
+         4: 4 * C * (A2**3 + 5 * u * A2 * A2 - 5 * u * u * A2 - u**3)}
+    H = B * abs(_w(W, 1, 5)) // _multiple(W, 1, A, B, 5)[1]
+    for n in (5, 6, 7):  # finding H left W_5 .. W_7 unscaled in the memo
+        W[n] = _quotient(H, 0, W[n], 0, 0, _t(n))
+    return functools.partial(_multiple, W, H, A, B)
 
 
-def add(c: Curve, P: Point, Q: Point) -> Point:
-    """Chord-tangent sum of two points on c, exactly."""
-    if P.is_infinity:
-        return Q
-    if Q.is_infinity:
-        return P
-    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-    if x1 == x2:
-        if y1 + y2 == 0:
-            return INFINITY  # Q = -P (covers doubling a 2-torsion point)
-        # otherwise both points coincide: tangent line
-        lam = (3 * x1 * x1 + c.b) / (2 * y1)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - x1 - x2
-    # the line through Q: sequence generation passes the small generator as Q
-    return Point(x3, lam * (x2 - x3) - y2)
+def _t(n: int) -> int:
+    """The power of H taken out of W_n."""
+    return max(n * n - 1, 0) // 24
+
+
+def _quotient(H: int, a: int, X: int, b: int, Y: int, c: int, d: int = 1, f: int = 1) -> int:
+    """f (H^a X - H^b Y) / (d H^c), which must be an integer."""
+    m = min(a, b, c)
+    q, r = divmod(f * (X * H ** (a - m) - Y * H ** (b - m)), d * H ** (c - m))
+    if r:
+        raise ArithmeticError("a term of the elliptic net is not an integer")
+    return q
+
+
+def _w(W: dict[int, int], H: int, n: int) -> int:
+    """V_n by the duplication formulas, memoised in W.
+
+    A plain function handed the dict: a self-calling closure would put each
+    memo in a reference cycle, which only the cyclic garbage collector frees.
+    """
+    v = W.get(n)
+    if v is None:
+        k, t, w = n >> 1, _t, functools.partial(_w, W, H)
+        if n & 1:
+            v = _quotient(H, t(k + 2) + 3 * t(k), w(k + 2) * w(k) ** 3,
+                          t(k - 1) + 3 * t(k + 1), w(k - 1) * w(k + 1) ** 3, t(n))
+        else:
+            v = _quotient(H, t(k + 2) + 2 * t(k - 1), w(k + 2) * w(k - 1) ** 2,
+                          t(k - 2) + 2 * t(k + 1), w(k - 2) * w(k + 1) ** 2, t(n) - t(k), W[2], w(k))
+        W[n] = v
+    return v
+
+
+def _multiple(W: dict[int, int], H: int, A: int, B: int, n: int) -> tuple[int, int, int]:
+    """(A_n, B_n, C_n) from the window V_{n-2} .. V_{n+2}."""
+    wm2, wm1, w, wp1, wp2 = (_w(W, H, i) for i in range(n - 2, n + 3))
+    t = _t
+    e = t(n - 1) + t(n + 1) - 2 * t(n)
+    k = max(0, 1 - e) // 2  # x = num / den^2 with no negative power of H
+    num, den = A * w * w * H ** (2 * k) - wm1 * wp1 * H ** (e + 2 * k), B * w * H**k
+    g = gcd(num, den * den)
+    s = isqrt(g)
+    if s * s != g:
+        raise ArithmeticError(f"x-denominator of {n}P is not a perfect square")
+    Cn = _quotient(H, t(n + 2) + 2 * t(n - 1) + 3 * k, wp2 * wm1 * wm1,
+                   t(n - 2) + 2 * t(n + 1) + 3 * k, wm2 * wp1 * wp1, 3 * t(n), 2 * W[2] * s**3)
+    return num // g, abs(den) // s, Cn if w > 0 else -Cn
 
 
 def mul(c: Curve, n: int, P: Point) -> Point:
-    """n-fold sum of P by double-and-add, n >= 1."""
+    """nP for n >= 1 and an affine, non-torsion P, read off the elliptic net."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    result = INFINITY
-    addend = P
-    while n:
-        if n & 1:
-            result = add(c, result, addend)
-        n >>= 1
-        if n:
-            addend = add(c, addend, addend)
-    return result
+    A, B, C = net(c, P)(n)
+    return Point(Fraction(A, B * B), Fraction(C, B**3))
 
 
 def is_torsion(c: Curve, P: Point) -> bool:

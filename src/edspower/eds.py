@@ -2,21 +2,20 @@
 
 The multiples of a non-torsion rational point P on y^2 = x(x^2 + b) have
 the shape mP = (A_m / B_m^2, C_m / B_m^3) in lowest terms with B_m > 0.
-This module extracts the triples, generates the sequence {B_m}
-incrementally, and checks the divisibility laws it satisfies: strong
-divisibility, valuation growth, primitive divisors, and scans for perfect
-powers among the terms.
+This module reads the triples off the integer elliptic net of P
+(curve.net), single terms and whole prefixes alike, and checks the
+divisibility laws the sequence {B_m} satisfies: strong divisibility,
+valuation growth, primitive divisors, and scans for perfect powers among
+the terms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from . import arith
 from .arith import Budget, DEFAULT_BUDGET
-from .curve import Curve, Point, add, is_torsion, mul, on_curve
-from .errors import HypothesisError
+from .curve import Curve, Point, net
 
 
 @dataclass(frozen=True)
@@ -48,60 +47,31 @@ class PrimitiveDivisors:
     complete: bool
 
 
-def _require_generator(c: Curve, P: Point) -> None:
-    if P.is_infinity:
-        raise HypothesisError("generator must be an affine point")
-    if not on_curve(c, P):
-        raise ValueError("point does not satisfy the curve equation")
-    if is_torsion(c, P):
-        raise HypothesisError("generator is a torsion point")
-
-
-def _extract(m: int, Q: Point) -> EDSTerm:
-    """Read (A, B, C) off the exact coordinates of mP."""
-    x, y = Q.x, Q.y
-    den = x.denominator
-    B = isqrt(den)
-    if B * B != den:
-        raise ArithmeticError(f"x-denominator of {m}P is not a perfect square")
-    if y.denominator != B**3:
-        raise ArithmeticError(f"y-denominator of {m}P is not the cube of B")
-    return EDSTerm(m, x.numerator, B, y.numerator)
-
-
 def term(c: Curve, P: Point, m: int) -> EDSTerm:
     """The m-th sequence triple for generator P."""
     if m < 1:
         raise ValueError("index m must be positive")
-    _require_generator(c, P)
-    return _extract(m, mul(c, m, P))
+    return EDSTerm(m, *net(c, P)(m))
 
 
 def generate(c: Curve, P: Point, M: int) -> Sequence:
-    """Terms 1..M, each multiple obtained from the previous by one addition."""
+    """Terms 1..M of the sequence of generator P."""
     if M < 1:
         raise ValueError("M must be positive")
-    _require_generator(c, P)
-    terms = []
-    Q = P
-    for m in range(1, M + 1):
-        terms.append(_extract(m, Q))
-        if m < M:
-            Q = add(c, Q, P)
-    return Sequence(c, P, tuple(terms))
+    return extend(Sequence(c, P, ()), M)
 
 
 def extend(s: Sequence, M: int) -> Sequence:
-    """A sequence with at least M terms, reusing the ones already computed."""
+    """A sequence with at least M terms, reusing the ones already computed.
+
+    Terms L+1..M come from a fresh net of the generator, whose memo
+    reaches them in about 2(M - L) net steps.
+    """
     if M <= len(s.terms):
         return s
-    last = s.terms[-1]
-    Q = Point(Fraction(last.A, last.B**2), Fraction(last.C, last.B**3))
-    terms = list(s.terms)
-    for m in range(len(terms) + 1, M + 1):
-        Q = add(s.curve, Q, s.generator)
-        terms.append(_extract(m, Q))
-    return Sequence(s.curve, s.generator, tuple(terms))
+    f = net(s.curve, s.generator)
+    new = tuple(EDSTerm(m, *f(m)) for m in range(len(s.terms) + 1, M + 1))
+    return Sequence(s.curve, s.generator, s.terms + new)
 
 
 def _get_B(s: Sequence, m: int) -> int:

@@ -16,7 +16,7 @@ from math import isqrt
 
 from . import arith, eds, frey, quadfield
 from .arith import DEFAULT_BUDGET, Budget
-from .curve import Curve, Point, is_torsion, on_curve
+from .curve import Curve, Point
 from .eds import Sequence
 from .errors import BudgetExhausted, HypothesisError
 from .quadfield import SplitType
@@ -274,17 +274,13 @@ def build_report(
     b = curve.b
     if c_config < 1:
         raise ValueError("c_config must be a positive integer")
-    if not on_curve(curve, generator):
-        raise ValueError("generator does not satisfy the curve equation")
-    if generator.is_infinity or is_torsion(curve, generator):
-        raise HypothesisError("generator is a torsion point")
-    if generator.x.denominator == 1 and generator.y.denominator == 1:
+    # generating B_1 checks the generator: on the curve, affine, not torsion
+    s = eds.generate(curve, generator, 1)
+    B1 = s.terms[0].B
+    if B1 == 1:
         raise HypothesisError("generator is integral (B_1 = 1); the bound needs B_1 > 1")
 
     T = frey.bad_set(1, b, budget)
-
-    s = eds.generate(curve, generator, 1)
-    B1 = s.terms[0].B
     k, p0, incomplete = find_k_p0(s, q, T, search_cap, budget)
 
     # re-verify the pair against its defining property: p0 lies outside T,

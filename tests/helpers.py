@@ -1,7 +1,44 @@
 """Slow reference computations the tests compare against."""
 from __future__ import annotations
 
-from edspower import DEFAULT_BUDGET, add, extend, factorize, valuation
+from math import isqrt
+
+from edspower import DEFAULT_BUDGET, INFINITY, Point, extend, factorize, valuation
+
+
+def neg(c, P):
+    if P.is_infinity:
+        return P
+    return Point(P.x, -P.y)
+
+
+def add(c, P, Q):
+    """Chord-tangent sum of two points of y^2 = x(x^2 + b), exactly, over Fractions."""
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
+    if x1 == x2:
+        if y1 + y2 == 0:
+            return INFINITY  # Q = -P (covers doubling a 2-torsion point)
+        lam = (3 * x1 * x1 + c.b) / (2 * y1)  # tangent line
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam - x1 - x2
+    return Point(x3, lam * (x2 - x3) - y2)
+
+
+def multiples_oracle(c, P, M: int) -> list[tuple[int, int, int]]:
+    """(A_m, B_m, C_m) for m = 1..M by repeated oracle addition."""
+    out = []
+    Q = P
+    for m in range(1, M + 1):
+        B = isqrt(Q.x.denominator)
+        assert B * B == Q.x.denominator and Q.y.denominator == B**3
+        out.append((Q.x.numerator, B, Q.y.numerator))
+        Q = add(c, Q, P)
+    return out
 
 
 def iroot_oracle(n: int, k: int) -> int:

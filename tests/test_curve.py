@@ -7,18 +7,19 @@ import pytest
 
 from edspower import (
     Curve,
+    HypothesisError,
     INFINITY,
     Point,
-    add,
+    generate,
     is_torsion,
     make_curve_xb,
     mul,
-    neg,
     on_curve,
 )
+from edspower.curve import net
 from edspower.frey import weierstrass_invariants
 
-from helpers import torsion_oracle
+from helpers import add, multiples_oracle, neg, torsion_oracle
 
 
 def test_make_curve_xb():
@@ -163,3 +164,46 @@ def test_torsion_matches_oracle():
     for c, P in cases:
         assert on_curve(c, P)
         assert is_torsion(c, P) == torsion_oracle(c, P), (c, P)
+
+
+def test_net_matches_group_law_oracle():
+    # every non-torsion integral point with b <= 200, 1 <= x <= 400, and its
+    # double: terms 1..12 from the net against repeated Fraction addition
+    generators = []
+    for b in range(1, 201):
+        c = make_curve_xb(b)
+        for P in _integral_points(b, 400):
+            if P.x and not is_torsion(c, P):
+                generators += [(c, P), (c, add(c, P, P))]
+    assert len(generators) == 576
+    for c, G in generators:
+        terms = [(t.A, t.B, t.C) for t in generate(c, G, 12).terms]
+        assert terms == multiples_oracle(c, G, 12), (c, G)
+
+
+
+def test_net_sheds_the_excess_of_singular_reduction():
+    # generators singular mod 2, 3, 5 or 7, among them non-minimal models at 2
+    # (b = 80) and a point on a component of order 4 (b = 196): terms 1..40
+    # against the oracle, and every memoised net value within a few words of
+    # B_n (unscaled, W_40 of (100, (20, 100)) carries about 2,600 bits more)
+    for b, x, y in [(100, 20, 100), (196, 98, 980), (80, 80, 720), (18, 6, 18), (15, 15, 60), (5, 20, 90)]:
+        c, P = make_curve_xb(b), Point(x, y)
+        f = net(c, P)
+        terms = [f(n) for n in range(1, 41)]
+        assert terms == multiples_oracle(c, P, 40), (b, x, y)
+        memo = f.args[0]
+        assert all(memo[n].bit_length() <= terms[n - 1][1].bit_length() + 64 for n in range(1, 41)), (b, x, y)
+
+def test_mul_rejects_torsion_and_infinity():
+    with pytest.raises(HypothesisError):
+        mul(make_curve_xb(5), 2, Point(0, 0))
+    for t in range(1, 5):
+        c = make_curve_xb(4 * t**4)
+        for y in (4 * t**3, -4 * t**3):
+            with pytest.raises(HypothesisError):
+                mul(c, 3, Point(2 * t * t, y))
+    with pytest.raises(HypothesisError):
+        mul(make_curve_xb(5), 1, INFINITY)
+    with pytest.raises(ValueError):
+        mul(make_curve_xb(5), 2, Point(3, 7))  # not on the curve

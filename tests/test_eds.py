@@ -1,3 +1,5 @@
+import gc
+import random
 from math import gcd
 
 import pytest
@@ -21,7 +23,7 @@ from edspower import (
     valuation,
 )
 
-from helpers import primitive_primes_oracle
+from helpers import multiples_oracle, primitive_primes_oracle
 
 
 def test_first_terms_known_values(base_curve, base_point, base_seq):
@@ -34,12 +36,28 @@ def test_first_terms_known_values(base_curve, base_point, base_seq):
 
 
 def test_terms_are_normalized(base_curve, base_point, base_seq):
-    for t in base_seq.terms[:10]:
-        Q = mul(base_curve, t.m, base_point)
-        assert Q.x.numerator == t.A and Q.x.denominator == t.B**2
-        assert Q.y.numerator == t.C and Q.y.denominator == t.B**3
+    oracle = multiples_oracle(base_curve, base_point, 10)
+    for t, (A, B, C) in zip(base_seq.terms[:10], oracle):
+        assert (t.A, t.B, t.C) == (A, B, C)
         assert t.B > 0
         assert gcd(t.A, t.B) == 1 and gcd(t.C, t.B) == 1
+
+
+def test_net_leaves_no_reference_cycles(base_curve, base_point):
+    # each net's memo must be freed by reference counting alone
+    def work():
+        s = generate(base_curve, base_point, 30)
+        term(base_curve, base_point, 45)
+        extend(s, 40)
+
+    work()
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_generate_validation(base_curve):
@@ -58,6 +76,13 @@ def test_extend_matches_generate(base_curve, base_point):
     assert s15.terms == generate(base_curve, base_point, 15).terms
     # extending to a smaller index is a no-op
     assert extend(s15, 8).terms == s15.terms
+    # from every prefix length, and single terms, the net gives the same triples
+    s = generate(base_curve, base_point, 60)
+    for L in range(1, 60):
+        assert extend(Sequence(base_curve, base_point, s.terms[:L]), 60).terms == s.terms, L
+    rng = random.Random(11)
+    for m in [1, 2, 3, 60] + rng.sample(range(4, 60), 12):
+        assert term(base_curve, base_point, m) == s.terms[m - 1], m
 
 
 def test_doubled_generator_sequence(base_curve, base_point, base_seq):
