@@ -1,16 +1,13 @@
 """Arithmetic in K = Q(sqrt(a)) for squarefree a >= 1.
 
-Elements are kept in Z[sqrt(a)] coordinates x + y*sqrt(a).  When a = 1 the
-field collapses to Q and y is folded into x on construction.  Valuations
-are only ever requested at odd unramified primes p not dividing 2a; there
-the index of Z[sqrt(a)] in the maximal order is invertible, so the
-coordinate restriction is harmless.
+Elements are the integers x + y*sqrt(a) of Z[sqrt(a)].  When a = 1 the
+field collapses to Q and y is folded into x on construction.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from . import arith
 from .arith import DEFAULT_BUDGET, Budget
@@ -24,24 +21,23 @@ class SplitType(str, enum.Enum):
 
 @dataclass(frozen=True)
 class QuadElement:
-    """x + y*sqrt(a) with rational x, y; the field label a is squarefree >= 1."""
+    """x + y*sqrt(a) with integers x, y; the field label a is squarefree >= 1."""
 
     a: int
-    x: Fraction
-    y: Fraction = Fraction(0)
+    x: int
+    y: int = 0
 
     def __post_init__(self):
         if not isinstance(self.a, int) or self.a < 1:
             raise ValueError("field label a must be a positive integer")
-        x = Fraction(self.x)
-        y = Fraction(self.y)
-        if self.a == 1:
+        if not isinstance(self.x, int) or not isinstance(self.y, int):
+            raise ValueError("coordinates must be integers")
+        if self.a == 1 and self.y:
             # sqrt(1) = 1: the element is rational
-            x, y = x + y, Fraction(0)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+            object.__setattr__(self, "x", self.x + self.y)
+            object.__setattr__(self, "y", 0)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int:
         return self.x * self.x - self.a * self.y * self.y
 
     def conjugate(self) -> "QuadElement":
@@ -51,17 +47,13 @@ class QuadElement:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    @property
-    def is_integral(self) -> bool:
-        return self.x.denominator == 1 and self.y.denominator == 1
-
     def _coerce(self, other):
         if isinstance(other, QuadElement):
             if other.a != self.a:
                 raise ValueError("elements live in different fields")
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElement(self.a, Fraction(other))
+        if isinstance(other, int):
+            return QuadElement(self.a, other)
         return None
 
     def __add__(self, other):
@@ -102,7 +94,7 @@ class QuadElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QuadElement(self.a, Fraction(1))
+        out = QuadElement(self.a, 1)
         base = self
         while n:
             if n & 1:
@@ -162,19 +154,15 @@ def splitting_type(a: int, p: int) -> SplitType:
 
 
 def _sqrt_mod_p(a: int, p: int) -> int:
-    """A square root of a modulo an odd prime p (a must be a residue)."""
+    """A square root of a modulo an odd prime p (a must be a residue), by Tonelli-Shanks.
+
+    The search for a non-residue starts at 2, so for p = 3 mod 4 the root is
+    a^((p+1)/4) and for p = 5 mod 8 it is r or r*2^((p-1)/4), r = a^((p+3)/8).
+    """
     a %= p
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return r
-    if p % 8 == 5:
-        r = pow(a, (p + 3) // 8, p)
-        if r * r % p == a:
-            return r
-        return r * pow(2, (p - 1) // 4, p) % p
-    # Tonelli-Shanks for p = 1 mod 8
-    q = p - 1
-    s = 0
+    if a == 0:
+        return 0  # Tonelli-Shanks would never see t = 1
+    q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
@@ -190,22 +178,6 @@ def _sqrt_mod_p(a: int, p: int) -> int:
         b = pow(c, 1 << (m - i - 1), p)
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
-    return r
-
-
-def _lift_root(a: int, p: int, r: int, precision: int) -> int:
-    """Hensel lift: a root of x^2 = a mod an odd prime p into a root mod p**precision."""
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    mod = p
-    while mod < p**precision:
-        mod_next = min(mod * mod, p**precision)
-        # Newton step: r <- r - (r^2 - a) / (2r)
-        inv = pow(2 * r % mod_next, -1, mod_next)
-        r = (r - (r * r - a) * inv) % mod_next
-        mod = mod_next
-    if (r * r - a) % p**precision != 0:
-        raise ArithmeticError("Hensel lift failed to reach the requested precision")
     return r
 
 
@@ -225,50 +197,26 @@ def primes_above(a: int, p: int) -> list[QuadPrime]:
 
 
 def prime_valuation(z: QuadElement, P: QuadPrime) -> int:
-    """v_P(z) for integral z and a split or inert prime P with p odd, p not dividing 2a.
+    """v_P(z) at a split or inert prime P over an odd p not dividing a.
 
-    Inert: v_p(norm)/2.  Split: the p-adic valuation of x + y*root with the
-    root Hensel-lifted until the valuation resolves below the precision;
-    the conjugate valuations are checked to sum to v_p(norm).
+    With g = gcd(x, y) and z = g*z', P and its conjugate cannot both divide
+    z', as their product p would divide both coordinates of z'.  So v_P(z)
+    is v_p(g), plus v_p(N(z')) when P is split and x' + y'*root = 0 (mod p).
     """
     if P.a != z.a:
         raise ValueError("element and prime live in different fields")
     if z.is_zero:
         raise ValueError("valuation of 0 is infinite")
-    if not z.is_integral:
-        raise ValueError("prime_valuation needs integer coordinates")
     if P.p == 2:
         raise ValueError("valuations at primes over 2 are out of scope")
     if z.a % P.p == 0:
         raise ValueError("valuations at primes dividing a are out of scope")
     if P.kind is SplitType.RAMIFIED:
         raise ValueError("valuations at ramified primes are out of scope")
-    n = int(z.norm())
-    v_norm = arith.valuation(n, P.p)
-    if P.kind is SplitType.INERT:
-        if v_norm % 2 != 0:
-            raise ArithmeticError("odd norm valuation at an inert prime")
-        return v_norm // 2
-    # split
-    if v_norm == 0:
-        return 0
-    x, y = int(z.x), int(z.y)
-    if P.root is None:
-        raise ValueError("split prime is missing its root")
-    t = 1
-    cap = 4 * (v_norm + 2)
-    while True:
-        if t > cap:
-            raise ArithmeticError("lift precision exhausted without resolving the valuation")
-        base = P.root if t == 1 else _lift_root(z.a, P.p, P.root % P.p, t)
-        mod = P.p**t
-        here = (x + y * base) % mod
-        conj = (x - y * base) % mod
-        if here == 0 or conj == 0:
-            t *= 2
-            continue
-        v_here = arith.valuation(here, P.p)
-        v_conj = arith.valuation(conj, P.p)
-        if v_here + v_conj != v_norm:
-            raise ArithmeticError("conjugate valuations do not add up to the norm valuation")
-        return v_here
+    g = gcd(z.x, z.y)
+    v = arith.valuation(g, P.p)
+    if P.kind is SplitType.SPLIT:
+        x, y = z.x // g, z.y // g
+        if (x + y * P.root) % P.p == 0:
+            v += arith.valuation(x * x - z.a * y * y, P.p)
+    return v

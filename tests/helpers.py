@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from edspower import DEFAULT_BUDGET, INFINITY, Point, extend, factorize, valuation
+from edspower import DEFAULT_BUDGET, INFINITY, Point, SplitType, extend, factorize, valuation
 
 
 def neg(c, P):
@@ -130,3 +130,54 @@ def find_k_p0_oracle(s, q: int, T, search_cap: int, budget=DEFAULT_BUDGET):
             return v1 + j, found[0]
         j += 1
     return None
+
+
+def _lift_root(a: int, p: int, r: int, precision: int) -> int:
+    """Hensel lift: a root of x^2 = a mod an odd prime p into a root mod p**precision."""
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    mod = p
+    while mod < p**precision:
+        mod_next = min(mod * mod, p**precision)
+        # Newton step: r <- r - (r^2 - a) / (2r)
+        inv = pow(2 * r % mod_next, -1, mod_next)
+        r = (r - (r * r - a) * inv) % mod_next
+        mod = mod_next
+    if (r * r - a) % p**precision != 0:
+        raise ArithmeticError("Hensel lift failed to reach the requested precision")
+    return r
+
+
+def prime_valuation_oracle(z, P) -> int:
+    """v_P(z) at a split or inert prime P over an odd p not dividing a, by p-adic lifting.
+
+    Inert: v_p(norm)/2.  Split: the p-adic valuation of x + y*root with the
+    root Hensel-lifted until the valuation resolves below the precision;
+    the conjugate valuations are checked to sum to v_p(norm).
+    """
+    n = z.norm()
+    v_norm = valuation(n, P.p)
+    if P.kind is SplitType.INERT:
+        if v_norm % 2 != 0:
+            raise ArithmeticError("odd norm valuation at an inert prime")
+        return v_norm // 2
+    if v_norm == 0:
+        return 0
+    x, y = z.x, z.y
+    t = 1
+    cap = 4 * (v_norm + 2)
+    while True:
+        if t > cap:
+            raise ArithmeticError("lift precision exhausted without resolving the valuation")
+        base = P.root if t == 1 else _lift_root(z.a, P.p, P.root % P.p, t)
+        mod = P.p**t
+        here = (x + y * base) % mod
+        conj = (x - y * base) % mod
+        if here == 0 or conj == 0:
+            t *= 2
+            continue
+        v_here = valuation(here, P.p)
+        v_conj = valuation(conj, P.p)
+        if v_here + v_conj != v_norm:
+            raise ArithmeticError("conjugate valuations do not add up to the norm valuation")
+        return v_here

@@ -1,4 +1,5 @@
-"""Property tests: the elliptic net against the Fraction group law."""
+"""Property tests: the elliptic net against the Fraction group law, and the
+closed-form prime valuations against p-adic lifting."""
 from math import gcd, isqrt
 
 import pytest
@@ -6,9 +7,19 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from edspower import Point, generate, is_torsion, make_curve_xb  # noqa: E402
+from edspower import (  # noqa: E402
+    Point,
+    QuadElement,
+    SplitType,
+    generate,
+    is_torsion,
+    make_curve_xb,
+    prime_valuation,
+    primes_above,
+    valuation,
+)
 
-from helpers import add, multiples_oracle  # noqa: E402
+from helpers import add, multiples_oracle, prime_valuation_oracle  # noqa: E402
 
 M = 8
 
@@ -44,3 +55,33 @@ def test_net_matches_oracle_on_multiples(gen, k):
     for m in range(1, M + 1):
         for n in range(1, M + 1):
             assert gcd(B[m - 1], B[n - 1]) == B[gcd(m, n) - 1]
+
+
+FIELDS = (1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 21, 30, 41)
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.sampled_from(FIELDS),
+    st.sampled_from(ODD_PRIMES),
+    st.integers(-10**9, 10**9),
+    st.integers(-10**9, 10**9),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 3),
+)
+def test_valuations_match_lifting_and_the_norm(a, p, x, y, e_plus, e_minus, e_p):
+    hypothesis.assume(a % p != 0 and (x, y) != (0, 0))
+    Ps = primes_above(a, p)
+    # plant powers of root + sqrt(a), of its conjugate and of p
+    r = Ps[0].root if Ps[0].kind is SplitType.SPLIT and a > 1 else 1 + p
+    z = QuadElement(a, x, y) * QuadElement(a, r, 1) ** e_plus * QuadElement(a, r, -1) ** e_minus * p**e_p
+    hypothesis.assume(not z.is_zero)
+    vals = [prime_valuation(z, P) for P in Ps]
+    assert vals == [prime_valuation_oracle(z, P) for P in Ps]
+    v_norm = valuation(z.norm(), p)
+    if Ps[0].kind is SplitType.SPLIT and a > 1:
+        assert sum(vals) == v_norm
+    else:
+        assert 2 * vals[0] == v_norm

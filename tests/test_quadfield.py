@@ -10,9 +10,9 @@ from edspower import (
     primes_above,
     splitting_type,
 )
-from edspower.quadfield import _lift_root, _sqrt_mod_p
+from edspower.quadfield import _sqrt_mod_p
 
-from helpers import is_prime_oracle
+from helpers import is_prime_oracle, prime_valuation_oracle
 
 
 def test_element_arithmetic():
@@ -42,8 +42,10 @@ def test_rational_field_folds():
 
 
 def test_integrality_and_zero():
-    assert QuadElement(5, 2, 3).is_integral
-    assert not QuadElement(5, Fraction(1, 2), 3).is_integral
+    with pytest.raises(ValueError):
+        QuadElement(5, Fraction(1, 2), 3)
+    with pytest.raises(ValueError):
+        QuadElement(5, 2, Fraction(3))
     assert QuadElement(5, 0, 0).is_zero
     with pytest.raises(ValueError):
         QuadElement(0, 1, 1)
@@ -102,16 +104,21 @@ def test_primes_above_structure():
 
 
 def test_sqrt_mod_p_all_residue_classes():
-    # covers the 3 mod 4, 5 mod 8, and 1 mod 8 branches
+    # p = 3 mod 4, 5 mod 8 and 1 mod 8
     for a, p in ((5, 11), (2, 7), (5, 29), (10, 13), (2, 17), (13, 17), (5, 41), (3, 97)):
         r = _sqrt_mod_p(a, p)
         assert r * r % p == a % p
-
-
-def test_root_lifting():
-    r = _lift_root(5, 11, 4, 3)
-    assert r * r % 11**3 == 5
-    assert r % 11 == 4
+    assert _sqrt_mod_p(0, 17) == 0 and _sqrt_mod_p(34, 17) == 0 and _sqrt_mod_p(7, 7) == 0
+    # the roots printed as QuadPrime.root are the classical closed forms
+    for p in (p for p in range(3, 400) if is_prime_oracle(p) and p % 8 != 1):
+        for a in {x * x % p for x in range(1, p)}:
+            if p % 4 == 3:
+                expected = pow(a, (p + 1) // 4, p)
+            else:
+                expected = pow(a, (p + 3) // 8, p)
+                if expected * expected % p != a:
+                    expected = expected * pow(2, (p - 1) // 4, p) % p
+            assert _sqrt_mod_p(a, p) == expected
 
 
 def test_prime_valuation_conjugates():
@@ -166,12 +173,39 @@ def test_prime_valuation_sums_to_norm_valuation():
                 assert vals[0] * 2 == vn
 
 
+def test_prime_valuation_matches_lifting_oracle():
+    # random elements times planted powers of root + sqrt(a), its conjugate and p
+    rng = random.Random(17)
+    fields = (1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 17, 21, 29, 41)
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    pairs = positive = 0
+    for a in fields:
+        for p in primes:
+            if a % p == 0:
+                continue
+            for P in primes_above(a, p):
+                r = P.root if P.root is not None else rng.randrange(1, p)
+                if a == 1:
+                    r = p - 1  # the other root of 1, so that r - sqrt(1) is not 0
+                plus, minus = QuadElement(a, r, 1), QuadElement(a, r, -1)
+                for _ in range(21):
+                    z = QuadElement(a, rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
+                    if z.is_zero:
+                        continue
+                    z = z * plus ** rng.randrange(4) * minus ** rng.randrange(4) * p ** rng.randrange(3)
+                    v = prime_valuation(z, P)
+                    assert v == prime_valuation_oracle(z, P), (z, P)
+                    pairs += 1
+                    positive += v > 0
+    assert pairs >= 5000 and positive >= pairs // 2
+
+
 def test_prime_valuation_rejections():
     P = primes_above(5, 11)[0]
     with pytest.raises(ValueError):
         prime_valuation(QuadElement(5, 0, 0), P)
     with pytest.raises(ValueError):
-        prime_valuation(QuadElement(5, Fraction(1, 2), 1), P)
+        QuadElement(5, Fraction(1, 2), 1)  # such an element cannot reach prime_valuation
     with pytest.raises(ValueError):
         prime_valuation(QuadElement(3, 1, 1), P)  # field mismatch
     ram = primes_above(5, 5)[0]
