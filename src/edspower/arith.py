@@ -2,14 +2,16 @@
 
 Factorization (trial division, then Pollard rho with Brent's cycle
 detection under an iteration cap), Miller-Rabin primality, integer roots,
-perfect-power detection, and squarefree decomposition.  Everything is pure
-Python on built-in ints; factoring effort is governed by an explicit
-:class:`Budget` so that large inputs fail gracefully instead of hanging.
+perfect-power detection behind a residue sieve, and squarefree
+decomposition.  Everything is pure Python on built-in ints; factoring
+effort is governed by an explicit :class:`Budget` so that large inputs
+fail gracefully instead of hanging.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import BudgetExhausted
@@ -109,7 +111,7 @@ def _small_primes_upto(limit: int) -> list[int]:
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(limit + 1), sieve))
 
 
 def trial_factors(m: int, bound: int):
@@ -275,25 +277,62 @@ def exact_root(n: int, ell: int) -> int | None:
     return r if r**ell == n else None
 
 
+# Residue witnesses: for each prime exponent q, the primes r = 1 (mod q) in
+# increasing order (r = 1 (mod 2q) for odd q, as r is odd).  A row grows only
+# as far as some n needed it: most n are ruled out by the first witness.
+# Every entry is checked prime and = 1 (mod q) when it is added, so a race
+# between threads growing one row can repeat a witness but never add a wrong one.
+_WITNESS_COUNT = 8
+_witnesses: dict[int, list[int]] = {}
+
+
+def _witness(q: int, i: int) -> int:
+    """The i-th (from 0) odd prime r with r = 1 (mod q), for a prime q."""
+    rs = _witnesses.setdefault(q, [])
+    step = q if q == 2 else 2 * q
+    while len(rs) <= i:
+        r = (rs[-1] if rs else 1) + step
+        while not is_probable_prime(r):
+            r += step
+        rs.append(r)
+    return rs[i]
+
+
+def _not_a_power(n: int, q: int) -> bool:
+    """True if some witness r proves n > 0 is no q-th power.
+
+    A q-th power prime to r is a q-th power in (Z/r)^*, whose q-th powers
+    are exactly the x with x^((r-1)/q) = 1.  A witness dividing n says
+    nothing and is passed over.
+    """
+    for i in range(_WITNESS_COUNT):
+        r = _witness(q, i)
+        x = n % r
+        if x and pow(x, (r - 1) // q, r) != 1:
+            return True
+    return False
+
+
 def perfect_power(n: int) -> tuple[int, int] | None:
     """Write n = w**ell with maximal ell >= 2, or return None.
 
-    The exponent is built up by repeatedly extracting prime-order roots, so
-    the returned base is itself not a perfect power and the exponent is the
-    largest possible.
+    Prime exponents q <= bits(n) are tried in increasing order, each as
+    often as it divides ell.  A residue sieve (Bernstein 1998) rules most
+    of them out first: if some prime r = 1 (mod q), r not dividing n, has
+    n^((r-1)/q) != 1 (mod r), n is no q-th power.  exact_root remains the
+    arbiter: it runs on every q the witnesses leave standing, so the answer
+    is exact.  A root of n is a q-th power only if n is, so the primes are
+    sieved once and walked once.  The returned base is itself not a perfect
+    power and the exponent is the largest possible.
     """
     if n <= 1:
         raise ValueError("perfect_power requires n > 1")
     base, exp = n, 1
-    reduced = True
-    while reduced:
-        reduced = False
-        for q in _small_primes_upto(base.bit_length()):
-            r = exact_root(base, q)
-            if r is not None:
-                base, exp = r, exp * q
-                reduced = True
-                break
+    for q in _small_primes_upto(n.bit_length()):
+        if q > base.bit_length():
+            break
+        while not _not_a_power(base, q) and (r := exact_root(base, q)) is not None:
+            base, exp = r, exp * q
     if exp == 1:
         return None
     return base, exp

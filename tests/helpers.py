@@ -3,7 +3,16 @@ from __future__ import annotations
 
 from math import isqrt
 
-from edspower import DEFAULT_BUDGET, INFINITY, Point, SplitType, extend, factorize, valuation
+from edspower import (
+    DEFAULT_BUDGET,
+    INFINITY,
+    Point,
+    SplitType,
+    exact_root,
+    extend,
+    factorize,
+    valuation,
+)
 
 
 def neg(c, P):
@@ -91,6 +100,31 @@ def perfect_power_oracle(n: int) -> tuple[int, int] | None:
         if base**exp == n:
             return base, exp
     return None
+
+
+def perfect_power_root_oracle(n: int) -> tuple[int, int] | None:
+    """Maximal (base, exp) with base**exp == n, exp >= 2, by a Newton root per prime.
+
+    Every prime q <= bits(base) gets an exact_root call, with no sieve;
+    after each root found the search starts again at 2.  Fast enough for
+    inputs of a few thousand bits, where perfect_power_oracle is not.
+    """
+    assert n > 1
+    base, exp = n, 1
+    reduced = True
+    while reduced:
+        reduced = False
+        for q in range(2, base.bit_length() + 1):
+            if not is_prime_oracle(q):
+                continue
+            r = exact_root(base, q)
+            if r is not None:
+                base, exp = r, exp * q
+                reduced = True
+                break
+    if exp == 1:
+        return None
+    return base, exp
 
 
 def torsion_oracle(c, P) -> bool:

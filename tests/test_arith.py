@@ -13,9 +13,15 @@ from edspower import (
     squarefree_split,
     valuation,
 )
-from edspower.arith import _floor_root
+from edspower.arith import _floor_root, _witness
 
-from helpers import factor_oracle, iroot_oracle, is_prime_oracle, perfect_power_oracle
+from helpers import (
+    factor_oracle,
+    iroot_oracle,
+    is_prime_oracle,
+    perfect_power_oracle,
+    perfect_power_root_oracle,
+)
 
 
 def test_primality_small_range():
@@ -168,6 +174,57 @@ def test_perfect_power_maximal_exponent():
         assert perfect_power(base) is None
     with pytest.raises(ValueError):
         perfect_power(1)
+
+
+def test_witnesses_are_the_first_primes_one_mod_q():
+    for q in (2, 3, 5, 7, 11, 13, 97, 1009):
+        odd_primes = (r for r in range(q + 1, 10**6, q) if r % 2 and is_prime_oracle(r))
+        assert [_witness(q, i) for i in range(8)] == [next(odd_primes) for _ in range(8)], q
+
+
+def _planted(rng, bits: int, ell: int) -> int:
+    return rng.randrange(2 ** (bits // ell - 1), 2 ** (bits // ell)) ** ell
+
+
+def test_perfect_power_planted_matches_root_oracle():
+    rng = random.Random(23)
+    for ell in range(2, 17):
+        for bits in (40, 1000, 2000, 3000):
+            n = _planted(rng, bits, ell)
+            assert perfect_power(n) == perfect_power_root_oracle(n), (ell, bits)
+            assert perfect_power(n)[1] % ell == 0
+        # bases that are themselves powers
+        for k in (2, 3, 5):
+            v = rng.randrange(2, 2 ** (1500 // (k * ell)))
+            n = v ** (k * ell)
+            assert perfect_power(n) == perfect_power_root_oracle(n), (ell, k)
+            assert perfect_power(n)[1] % (k * ell) == 0
+
+
+def test_perfect_power_near_misses_match_root_oracle():
+    rng = random.Random(24)
+    sizes = (1000, 2000, 3000)
+    for ell in range(2, 17):
+        n = _planted(rng, sizes[ell % 3], ell)
+        for near in (n - 1, n + 1, n * 3, n * 10007):
+            assert perfect_power(near) == perfect_power_root_oracle(near), ell
+
+
+def test_perfect_power_base_divisible_by_first_witness():
+    # the first witness for q divides n, so it says nothing about q
+    rng = random.Random(25)
+    for q, r in ((2, 3), (3, 7), (5, 11)):
+        for bits in (60, 1200, 2400):
+            w = r * rng.randrange(2 ** (bits // q - 4), 2 ** (bits // q - 3))
+            for n in (w**q, w ** (2 * q)):
+                assert perfect_power(n) == perfect_power_root_oracle(n), (q, bits)
+                assert perfect_power(n)[1] % q == 0
+    # every witness for q = 2 divides n, so exact_root alone decides
+    all_two = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    assert [_witness(2, i) for i in range(8)] == [3, 5, 7, 11, 13, 17, 19, 23]
+    k = rng.randrange(2**500, 2**501)
+    assert perfect_power((all_two * k) ** 2) == perfect_power_root_oracle((all_two * k) ** 2)
+    assert perfect_power(all_two * k * k) == perfect_power_root_oracle(all_two * k * k)
 
 
 def test_squarefree_split():

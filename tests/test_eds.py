@@ -164,6 +164,11 @@ def test_scan_powers(base_seq):
     assert scan_powers(base_seq) == [(2, 2, 6)]
 
 
+def test_scan_powers_to_one_hundred(base_curve, base_point):
+    # B_100 has 16,182 bits; a Newton root per prime exponent took minutes
+    assert scan_powers(generate(base_curve, base_point, 100)) == [(2, 2, 6)]
+
+
 def test_scan_powers_planted():
     # fabricated terms exercise the reporting shape; only B is read
     c = make_curve_xb(5)

@@ -1,5 +1,6 @@
-"""Property tests: the elliptic net against the Fraction group law, and the
-closed-form prime valuations against p-adic lifting."""
+"""Property tests: the elliptic net against the Fraction group law, the
+closed-form prime valuations against p-adic lifting, and the sieved
+perfect-power search against a Newton root for every prime exponent."""
 from math import gcd, isqrt
 
 import pytest
@@ -14,12 +15,18 @@ from edspower import (  # noqa: E402
     generate,
     is_torsion,
     make_curve_xb,
+    perfect_power,
     prime_valuation,
     primes_above,
     valuation,
 )
 
-from helpers import add, multiples_oracle, prime_valuation_oracle  # noqa: E402
+from helpers import (  # noqa: E402
+    add,
+    multiples_oracle,
+    perfect_power_root_oracle,
+    prime_valuation_oracle,
+)
 
 M = 8
 
@@ -85,3 +92,17 @@ def test_valuations_match_lifting_and_the_norm(a, p, x, y, e_plus, e_minus, e_p)
         assert sum(vals) == v_norm
     else:
         assert 2 * vals[0] == v_norm
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.integers(2, 2**200),
+    st.integers(1, 16),
+    st.sampled_from((1, 2, 3, 7, 11, 3 * 7 * 11, 10007)),
+    st.integers(-1, 1),
+)
+def test_perfect_power_matches_root_oracle(w, ell, factor, shift):
+    # planted w**ell, times a witness-sized prime or off by one
+    n = w**ell * factor + shift
+    hypothesis.assume(n > 1)
+    assert perfect_power(n) == perfect_power_root_oracle(n)
