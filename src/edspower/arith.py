@@ -19,6 +19,8 @@ from .errors import BudgetExhausted
 # Deterministic Miller-Rabin witness set, sufficient below this limit.
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Pseudo-random bases added to _MR_BASES at and above that limit.
+_MR_EXTRA_ROUNDS = 16
 
 # mod-30 wheel for trial division, starting at 7
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
@@ -68,11 +70,11 @@ class Factorization:
         return out
 
 
-def is_probable_prime(n: int, extra_rounds: int = 16) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Deterministic for n below 3.3e24 via the fixed witness set; above that,
-    the fixed witnesses are supplemented with extra_rounds pseudo-random
+    the fixed witnesses are supplemented with _MR_EXTRA_ROUNDS pseudo-random
     bases drawn from a generator seeded by n, so results are reproducible.
     """
     if n < 2:
@@ -88,7 +90,7 @@ def is_probable_prime(n: int, extra_rounds: int = 16) -> bool:
     bases = list(_MR_BASES)
     if n >= _MR_DETERMINISTIC_LIMIT:
         rng = random.Random(n)
-        bases.extend(rng.randrange(2, n - 1) for _ in range(extra_rounds))
+        bases.extend(rng.randrange(2, n - 1) for _ in range(_MR_EXTRA_ROUNDS))
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -2,9 +2,12 @@
 
 Subcommands: gen (sequence terms), scan (perfect-power report), descend
 (term decomposition), frey (curve invariants and reduction), ledger
-(exponent-bound report).  Output is a single JSON document per invocation
-with every integer rendered as a decimal string, so consumers are never
-exposed to 64-bit truncation; --table switches to plain text.
+(exponent-bound report).  Each handler returns its result; main renders
+it once.  Output is a single JSON document per invocation with every
+integer rendered as a decimal string, so consumers are never exposed to
+64-bit truncation.  --table prints the same document as text: one
+`dotted.name: value` line per leaf, and a list of flat records (the gen
+terms, the scan hits) as an aligned table under its field names.
 
 Exit codes: 0 success, 2 usage or malformed input, 3 hypothesis violation
 (torsion or integral generator, term not a power), 4 factoring budget
@@ -74,44 +77,52 @@ def _stringify(obj):
     return {name: _stringify(getattr(obj, name)) for name in _field_names(type(obj))}
 
 
+def _leaf(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _table_lines(node, name: str = ""):
+    """The --table text of a _stringify result, in document order."""
+    if isinstance(node, list) and node and all(
+        isinstance(r, dict) and r.keys() == node[0].keys()
+        and not any(isinstance(v, (dict, list)) for v in r.values())
+        for r in node
+    ):
+        rows = [list(node[0])] + [[_leaf(v) for v in r.values()] for r in node]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        for row in rows:
+            yield "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+        return
+    if isinstance(node, (dict, list)) and node:
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _table_lines(value, f"{name}.{key}" if name else str(key))
+        return
+    yield f"{name}: {_leaf(node)}"
+
+
 def _curve_and_point(args: argparse.Namespace) -> tuple[Curve, Point]:
     return make_curve_xb(args.b), _parse_point(args.point)
 
 
-def _cmd_gen(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_gen(args: argparse.Namespace) -> dict:
     c, P = _curve_and_point(args)
     if args.max_m < 1:
         raise ValueError("--max-m must be positive")
     s = eds.generate(c, P, args.max_m)
-    payload = {
-        "b": args.b,
-        "generator": _point_str(P),
-        "terms": s.terms,
-    }
-    rows = [("m", "A", "B", "C")]
-    rows += [(str(t.m), str(t.A), str(t.B), str(t.C)) for t in s.terms]
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    lines = ["  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)) for row in rows]
-    return payload, lines
+    return {"b": args.b, "generator": _point_str(P), "terms": s.terms}
 
 
-def _cmd_scan(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_scan(args: argparse.Namespace) -> dict:
     c, P = _curve_and_point(args)
     if args.max_m < 1:
         raise ValueError("--max-m must be positive")
     s = eds.generate(c, P, args.max_m)
-    hits = eds.scan_powers(s)
-    payload = {
+    return {
         "b": args.b,
         "generator": _point_str(P),
         "max_m": args.max_m,
-        "hits": [{"m": m, "ell": ell, "w": w} for m, ell, w in hits],
+        "hits": [{"m": m, "ell": ell, "w": w} for m, ell, w in eds.scan_powers(s)],
     }
-    if hits:
-        lines = [f"m={m}: B = {w}^{ell}" for m, ell, w in hits]
-    else:
-        lines = [f"no perfect powers among B_1..B_{args.max_m}"]
-    return payload, lines
 
 
 def _descend_exponent(B: int, ell_arg: int | None) -> tuple[int, int]:
@@ -132,7 +143,7 @@ def _descend_exponent(B: int, ell_arg: int | None) -> tuple[int, int]:
     return 1, B
 
 
-def _cmd_descend(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_descend(args: argparse.Namespace) -> dict:
     budget = Budget(args.trial_bound, args.rho_iterations)
     c, P = _curve_and_point(args)
     if args.m < 1:
@@ -140,24 +151,16 @@ def _cmd_descend(args: argparse.Namespace) -> tuple[dict, list[str]]:
     t = eds.term(c, P, args.m)
     ell, w = _descend_exponent(t.B, args.ell)
     d = descent.decompose(c, t, ell, w, budget)
-    payload = {
+    return {
         "b": args.b,
         "generator": _point_str(P),
         "term": t,
         "datum": d,
         "frey_solution": descent.to_frey(d),
     }
-    lines = [
-        f"term m={t.m}: A={t.A} B={t.B} C={t.C}",
-        f"A = a*u^2 with a={d.a}, u={d.u}",
-        f"v = {d.v}  (C = sign * a*u*v)",
-        f"B = {d.w}^{d.ell}",
-        f"quartic: v^2 - a*u^4 = (b/a)*w^(4*ell) with b/a = {d.b // d.a}",
-    ]
-    return payload, lines
 
 
-def _cmd_frey(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_frey(args: argparse.Namespace) -> dict:
     budget = Budget(args.trial_bound, args.rho_iterations)
     sol = FreySolution(a=args.a, d=args.d, u=args.u, v=args.v, w=args.w, ell=args.ell)
     F = frey.construct(sol, budget)
@@ -165,14 +168,6 @@ def _cmd_frey(args: argparse.Namespace) -> tuple[dict, list[str]]:
     # the curve's fields in order, with the field's name placed after the
     # solution (a repeated key keeps its first position)
     payload = {"solution": sol, "field": f"Q(sqrt({F.field_label}))", **vars(F)}
-    lines = [
-        f"field: Q(sqrt({F.field_label}))",
-        f"a2 = {F.a2_coeff}",
-        f"a4 = {F.a4_coeff}",
-        f"delta = {F.delta}",
-        f"c4 = {F.c4}",
-        f"bad primes: {sorted(F.bad_primes)}",
-    ]
     if args.prime is not None:
         p = args.prime
         if p < 2 or not arith.is_probable_prime(p):
@@ -189,16 +184,11 @@ def _cmd_frey(args: argparse.Namespace) -> tuple[dict, list[str]]:
                 "delta_valuation": val,
                 "ell_divides": ok,
             })
-            lines.append(
-                f"prime over {p} ({qp.kind.value}"
-                + (f", root {qp.root}" if qp.root is not None else "")
-                + f"): {red.value}, v(delta) = {val}, ell | v: {ok}"
-            )
         payload["prime_analysis"] = {"p": p, "ideals": ideals}
-    return payload, lines
+    return payload
 
 
-def _cmd_ledger(args: argparse.Namespace) -> tuple[ledger.LedgerReport, list[str]]:
+def _cmd_ledger(args: argparse.Namespace) -> ledger.LedgerReport:
     budget = Budget(args.trial_bound, args.rho_iterations)
     c, P = _curve_and_point(args)
     table = None
@@ -208,27 +198,10 @@ def _cmd_ledger(args: argparse.Namespace) -> tuple[ledger.LedgerReport, list[str
                 table = ledger.load_eigenvalue_table(fh)
         except OSError as exc:
             raise ValueError(f"cannot read eigenvalue table: {exc}") from exc
-    report = ledger.build_report(
+    return ledger.build_report(
         c, P, args.q, args.c_config,
         budget=budget, search_cap=args.search_cap, eigen_table=table,
     )
-    lines = [
-        f"b = {report.b}, generator {report.generator}",
-        f"B_1 = {report.B1}, q = {report.q}, T = {sorted(report.T)}",
-        f"(k, p0) = ({report.k}, {report.p0})",
-        f"threshold = max{{k, 2b, C, p0, 5}} = {report.threshold}",
-    ]
-    for f in report.candidate_fields:
-        lines.append(
-            f"field Q(sqrt({f.a})): p0 {f.splitting_of_p0.value}, N = {f.envelope.residue_norm}, "
-            f"envelope = {f.envelope.display} (<= {f.envelope.ceiling}), "
-            f"level support count = {f.level_support.count}"
-        )
-    if report.exact_bound is not None:
-        lines.append(f"exact bound from eigenvalue table: {report.exact_bound}")
-    for note in report.caveats:
-        lines.append(f"caveat: {note}")
-    return report, lines
 
 
 @functools.cache
@@ -242,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--table", action="store_true",
-                        help="plain-text output instead of JSON")
+                        help="the same document as plain text instead of JSON")
     effort = argparse.ArgumentParser(add_help=False)
     effort.add_argument("--trial-bound", type=int, default=Budget().trial_bound,
                         metavar="N", help="trial-division bound (default %(default)s)")
@@ -300,6 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per failure class, tried in this order: HypothesisError is a
+# ValueError, so it must come first.
+_EXIT_CODES = {HypothesisError: 3, BudgetExhausted: 4, ValueError: 2, ArithmeticError: 5}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -313,26 +291,16 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         try:
-            payload, lines = args.handler(args)
-        except HypothesisError as exc:
+            result = args.handler(args)
+        except tuple(_EXIT_CODES) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except BudgetExhausted as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ArithmeticError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 5
+            return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+        document = _stringify(result)
         if args.table:
-            print("\n".join(lines))
+            print("\n".join(_table_lines(document)))
         else:
-            document = {"tool": "edspower", "command": args.command,
-                        "integer_encoding": "decimal string"}
-            document.update(_stringify(payload))
-            print(json.dumps(document, indent=2))
+            print(json.dumps({"tool": "edspower", "command": args.command,
+                              "integer_encoding": "decimal string", **document}, indent=2))
         return 0
     finally:
         if limit is not None:

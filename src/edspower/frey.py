@@ -74,7 +74,12 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
         raise ValueError("u, v, w must all be nonzero")
     if s.ell < 1:
         raise ValueError("ell must be a positive integer")
-    if s.v**2 - s.a * s.u**4 != s.d * s.w ** (4 * s.ell):
+    # |v^2 - a*u^4| has at most lhs_bits bits and d*w^(4*ell) at least
+    # 4*ell*(bits(w) - 1): a right side that must be larger is rejected before
+    # w^(4*ell) is built, which for a large ell would not fit in memory
+    lhs_bits = max(2 * s.v.bit_length(), s.a.bit_length() + 4 * s.u.bit_length()) + 1
+    if (4 * s.ell * (s.w.bit_length() - 1) > lhs_bits
+            or s.v**2 - s.a * s.u**4 != s.d * s.w ** (4 * s.ell)):
         raise ValueError("v^2 - a*u^4 = d*w^(4*ell) fails")
     if (s.a * s.d) % gcd(s.u, s.v) != 0:
         raise ValueError("gcd(u, v) does not divide a*d")

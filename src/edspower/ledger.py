@@ -16,7 +16,7 @@ from math import isqrt
 
 from . import arith, eds, frey, quadfield
 from .arith import DEFAULT_BUDGET, Budget
-from .curve import Curve, Point
+from .curve import Curve, Point, net
 from .eds import Sequence
 from .errors import BudgetExhausted, HypothesisError
 from .quadfield import SplitType
@@ -123,10 +123,11 @@ def find_k_p0(
 
     Returns (k, p0, incomplete) with p0 the least such primitive divisor
     found.  The search walks indices n = q, q^2, ... up to search_cap,
-    extending the sequence as needed.  By strong divisibility a prime of
-    B_n is primitive exactly when it does not divide B_{n/q}, so at each
-    index the primes of B_n are walked upward and the first one outside T
-    that passes this test is p0.  incomplete lists the indices, passed or
+    reading each B_n off one elliptic net of the generator, which computes
+    no term between the indices.  By strong divisibility a prime of B_n is
+    primitive exactly when it does not divide B_{n/q}, so at each index
+    the primes of B_n are walked upward and the first one outside T that
+    passes this test is p0.  incomplete lists the indices, passed or
     stopped at, whose factoring the budget cut short; when it is empty the
     pair is proven least, otherwise a smaller k or p0 may exist.
     Exhaustion raises BudgetExhausted with the progress made.
@@ -141,19 +142,20 @@ def find_k_p0(
     if B1 % q != 0:
         raise HypothesisError(f"q = {q} does not divide B_1 = {B1}")
     v1 = arith.valuation(B1, q)
+    f = net(s.curve, s.generator)
     tried = []
     incomplete = []
-    j = 1
+    B_prev, j = B1, 1
     while q**j <= search_cap:
         index = q**j
-        s = eds.extend(s, index)
-        p0, settled = _least_primitive(s.terms[index - 1].B, s.terms[index // q - 1].B, T, budget)
+        B = f(index)[1]
+        p0, settled = _least_primitive(B, B_prev, T, budget)
         if not settled:
             incomplete.append(index)
         if p0 is not None:
             return v1 + j, p0, tuple(incomplete)
         tried.append(index)
-        j += 1
+        B_prev, j = B, j + 1
     detail = ", ".join(
         f"index {idx} ({'factoring incomplete' if idx in incomplete else 'fully factored'})"
         for idx in tried

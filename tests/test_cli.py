@@ -1,6 +1,9 @@
+import hashlib
 import json
 import sys
 from dataclasses import fields
+
+import pytest
 
 from edspower import (
     DescentDatum,
@@ -123,6 +126,13 @@ def test_frey_invalid_solution(capsys):
     assert "fails" in capsys.readouterr().err
 
 
+def test_frey_huge_exponent_rejected_before_the_power(capsys):
+    # w^(4*ell) would have about 4e12 bits; the size bound rejects it first
+    assert main(["frey", "--a", "1", "--d", "5", "--u", "79", "--v", "6881",
+                 "--w", "2", "--ell", "1000000000000"]) == 2
+    assert capsys.readouterr().err == "error: v^2 - a*u^4 = d*w^(4*ell) fails\n"
+
+
 def test_ledger_document(capsys):
     doc = run_json(capsys, [
         "ledger", "--b", "5", "--point", "6241/1296,543599/46656",
@@ -217,3 +227,107 @@ def test_output_is_deterministic(capsys):
 def test_parser_structure():
     parser = build_parser()
     assert parser.prog == "edspower"
+
+
+# Byte-for-byte pins of the command line: argv (with {2P} the point 2P of
+# (20, 90) on b = 5 and {eigen} a small eigenvalue table), exit code, stderr
+# and the sha256 of stdout.
+TWO_P = "6241/1296,543599/46656"
+EIGEN_TABLE = "# tag idx p a_p\nL49\t0\t7\t0\n"
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+GOLDEN = [
+    ("gen --b 5 --point 20,90 --max-m 4",
+     0, "", "0768af396e818c5379ae39b93d4ac07b66a68f319cd2e26b99d436f5629d6ddd"),
+    ("gen --b 5 --point {2P} --max-m 3",
+     0, "", "fa16576f44dd0ff7b6436ad7dce84ba04e89fc16bc662a0f78c3027c6ca32c23"),
+    ("gen --b 5 --point 20,90 --max-m 60",
+     0, "", "bad1b094faabbc14c88c8eeac4b7c1675cdf08e81a6942c8b9d6936c2413f8c9"),
+    ("gen --b 5 --point 0,0 --max-m 2",
+     3, "error: generator is a torsion point\n", NO_OUTPUT),
+    ("gen --b 5 --point 3,7 --max-m 2",
+     2, "error: point does not satisfy the curve equation\n", NO_OUTPUT),
+    ("gen --b 5 --point 20,90 --max-m 0",
+     2, "error: --max-m must be positive\n", NO_OUTPUT),
+    ("scan --b 5 --point 20,90 --max-m 10",
+     0, "", "aefdee7d8478f2792cc2d465b733e6054617843f5f3ae82ce5b091850841460a"),
+    ("scan --b 5 --point {2P} --max-m 6",
+     0, "", "e8f095100a16fbdf38e9f8557de35da569bcef02c9af4d0aa882f15926fa37b8"),
+    ("descend --b 5 --point 20,90 --m 2 --ell 1",
+     0, "", "ef15e12535efbf18a8fedd3086ed4981db0fae9c79b33155fa76e006a5a0efe3"),
+    ("descend --b 5 --point 20,90 --m 2",
+     0, "", "592ef0a47172293add31a5e8e2f595ad5902c6e2d11fb3151151878da2c83ea3"),
+    ("descend --b 5 --point 20,90 --m 3 --ell 2",
+     3, "error: B = 19679 is not a perfect 2th power\n", NO_OUTPUT),
+    ("descend --b 5 --point 20,90 --m 3 --trial-bound 10 --rho-iterations 0",
+     4, "error: factoring budget exhausted on cofactor 35010889\n", NO_OUTPUT),
+    ("frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1",
+     0, "", "4759d73dbcdb6710d6d736e17e471c9f98c8ae3ffaa7640b4cc23112bab8069b"),
+    ("frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1 --prime 3",
+     0, "", "fa478b1bde222a3c8f621eb04b077381a4cd817e508540861e2e2dcab0ee4b32"),
+    ("frey --a 5 --d 1 --u 11834 --v 498029769 --w 19679 --ell 1 --prime 11",
+     0, "", "80967eb7181fc1b5062cd4f087828ae822b2d5b42efacaf516a1b30dafbde7e3"),
+    ("frey --a 1 --d 5 --u 1 --v 2 --w 1 --ell 1",
+     2, "error: v^2 - a*u^4 = d*w^(4*ell) fails\n", NO_OUTPUT),
+    ("ledger --b 5 --point {2P} --q 2 --c-config 100",
+     0, "", "ce33d91e8ca4907a58e4373652a094c1fe9ee5726df893ba62bffb76f1f528f2"),
+    ("ledger --b 5 --point {2P} --q 3 --c-config 100",
+     0, "", "030503d847197da57353ea15fde62f2bdae8f38e9653d501f5c7f03614efee88"),
+    ("ledger --b 5 --point {2P} --q 2 --c-config 100 --eigen-table {eigen}",
+     0, "", "b5d1a60818f32c788002c2f295305bdf8da5e8c48e6d0bc2d24137cb61de85a5"),
+    ("ledger --b 5 --point {2P} --q 3 --c-config 100 --search-cap 2",
+     4, "error: no primitive divisor outside T at indices up to 2; tried nothing\n", NO_OUTPUT),
+    ("ledger --b 5 --point {2P} --q 3 --c-config 100 --trial-bound 10 --rho-iterations 0",
+     4, "error: no primitive divisor outside T at indices up to 64; tried index 3 (factoring "
+        "incomplete), index 9 (factoring incomplete), index 27 (factoring incomplete)\n", NO_OUTPUT),
+    ("ledger --b 5 --point 20,90 --q 2 --c-config 100",
+     3, "error: generator is integral (B_1 = 1); the bound needs B_1 > 1\n", NO_OUTPUT),
+    ("ledger --b 5 --point {2P} --q 4 --c-config 100",
+     2, "error: q = 4 is not prime\n", NO_OUTPUT),
+    ("ledger --b 14 --point 103058/2209,-33190578/103823 --q 47 --c-config 100",
+     0, "", "734c74ff04e003483508dfc1696fa4402c461d75ef50f96ec4ddbbe56b483ee1"),
+]
+
+
+def golden_argv(command, tmp_path):
+    eigen = tmp_path / "eig.tsv"
+    eigen.write_text(EIGEN_TABLE)
+    return command.replace("{2P}", TWO_P).replace("{eigen}", str(eigen)).split()
+
+
+@pytest.mark.parametrize("command, code, err, digest", GOLDEN, ids=["_".join(g[0].split()) for g in GOLDEN])
+def test_golden_output(capsys, tmp_path, command, code, err, digest):
+    assert main(golden_argv(command, tmp_path)) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def _leaf_strings(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _leaf_strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _leaf_strings(value)
+
+
+@pytest.mark.parametrize("command", [
+    "gen --b 5 --point 20,90 --max-m 6",
+    "scan --b 5 --point 20,90 --max-m 10",
+    "descend --b 5 --point 20,90 --m 2",
+    "frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1 --prime 3",
+    "frey --a 5 --d 1 --u 11834 --v 498029769 --w 19679 --ell 1 --prime 11",
+    "ledger --b 5 --point {2P} --q 2 --c-config 100 --eigen-table {eigen}",
+], ids=["gen", "scan", "descend", "frey-prime-3", "frey-sqrt5-prime-11", "ledger-eigen-table"])
+def test_table_renders_every_json_value(capsys, tmp_path, command):
+    # --table is the same document as the JSON, so no value may go missing
+    argv = golden_argv(command, tmp_path)
+    doc = run_json(capsys, argv)
+    assert main(argv + ["--table"]) == 0
+    table = capsys.readouterr().out
+    for key in ("tool", "command", "integer_encoding"):
+        del doc[key]
+    missing = [leaf for leaf in _leaf_strings(doc) if leaf not in table]
+    assert not missing
