@@ -14,7 +14,6 @@ from .arith import (
     exact_root,
     factorize,
     is_probable_prime,
-    is_squarefree,
     perfect_power,
     squarefree_split,
     valuation,
@@ -34,7 +33,7 @@ from .eds import (
     term,
 )
 from .errors import BudgetExhausted, HypothesisError
-from .frey import FreyCurve, FreySolution, Reduction, bad_set, classify_reduction, construct, exponent_divisibility, invariants_oracle
+from .frey import FreyCurve, FreySolution, Reduction, bad_set, classify_reduction, construct, exponent_divisibility
 from .ledger import (
     EigenRecord,
     EnvelopeBound,
@@ -53,8 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Budget", "DEFAULT_BUDGET", "Factorization", "exact_root", "factorize",
-    "is_probable_prime", "is_squarefree", "perfect_power", "squarefree_split",
-    "valuation",
+    "is_probable_prime", "perfect_power", "squarefree_split", "valuation",
     "Curve", "INFINITY", "Point", "is_torsion", "make_curve_xb", "mul",
     "on_curve",
     "EDSTerm", "PrimitiveDivisors", "Sequence", "check_strong_divisibility",
@@ -63,7 +61,7 @@ __all__ = [
     "QuadElement", "QuadPrime", "SplitType", "prime_valuation",
     "primes_above", "splitting_type",
     "FreyCurve", "FreySolution", "Reduction", "bad_set", "classify_reduction",
-    "construct", "exponent_divisibility", "invariants_oracle",
+    "construct", "exponent_divisibility",
     "DescentDatum", "decompose", "to_frey",
     "EigenRecord", "EnvelopeBound", "LedgerReport", "LevelSupport",
     "build_report", "envelope_bound", "find_k_p0", "level_support",

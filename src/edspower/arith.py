@@ -359,8 +359,3 @@ def squarefree_split(n: int, budget: Budget = DEFAULT_BUDGET) -> tuple[int, int]
             a *= p
         u *= p ** (e // 2)
     return a, u
-
-
-def is_squarefree(n: int, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """True iff no prime square divides n (n >= 1)."""
-    return squarefree_split(n, budget)[1] == 1

@@ -134,7 +134,7 @@ def _descend_exponent(B: int, ell_arg: int | None) -> tuple[int, int]:
             return 1, B
         w = arith.exact_root(B, ell_arg)
         if w is None:
-            raise HypothesisError(f"B = {B} is not a perfect {ell_arg}th power")
+            raise HypothesisError(f"B = {B} is not a perfect power with exponent {ell_arg}")
         return ell_arg, w
     if B > 1:
         pp = arith.perfect_power(B)
@@ -164,7 +164,6 @@ def _cmd_frey(args: argparse.Namespace) -> dict:
     budget = Budget(args.trial_bound, args.rho_iterations)
     sol = FreySolution(a=args.a, d=args.d, u=args.u, v=args.v, w=args.w, ell=args.ell)
     F = frey.construct(sol, budget)
-    frey.invariants_oracle(F)
     # the curve's fields in order, with the field's name placed after the
     # solution (a repeated key keeps its first position)
     payload = {"solution": sol, "field": f"Q(sqrt({F.field_label}))", **vars(F)}

@@ -45,28 +45,19 @@ def decompose(c: Curve, t: EDSTerm, ell: int, w: int, budget: Budget = DEFAULT_B
         raise ValueError("ell and w must be positive integers")
     if t.A == 0:
         raise HypothesisError("term comes from the 2-torsion point (0, 0)")
-    if t.A < 0:
-        # cannot happen for b > 0 (x(x^2+b) >= 0 forces x > 0 on affine
-        # non-torsion points), kept as defense in depth
-        raise HypothesisError("term has negative x-numerator; descent takes positive A")
     if w**ell != t.B:
         raise ValueError(f"w^ell = {w**ell} does not equal B = {t.B}")
-    rhs = t.A * t.A + b * w ** (4 * ell)
-    if t.C * t.C != t.A * rhs:
+    if t.C * t.C != t.A * (t.A * t.A + b * w ** (4 * ell)):
         raise ArithmeticError("term fails C^2 = A(A^2 + b*B^4)")
 
+    # the check above rejects A < 0 and, as A = a*u^2 with a squarefree, gives
+    # |C| = a*u*v with a*v^2 = A^2 + b*w^(4*ell): the quartic once a | b
     a, u = squarefree_split(t.A, budget)
     if b % a != 0:
         raise ArithmeticError("squarefree part of A does not divide b")
-    if abs(t.C) % (a * u) != 0:
-        raise ArithmeticError("C is not divisible by a*u")
     v = abs(t.C) // (a * u)
-    if a * v * v != rhs:
-        raise ArithmeticError("A^2 + b*w^(4*ell) is not a times a square")
     if b % gcd(u, v) != 0:
         raise ArithmeticError("gcd(u, v) does not divide b")
-    if v * v - a * u**4 != (b // a) * w ** (4 * ell):
-        raise ArithmeticError("quartic identity fails")
     return DescentDatum(m=t.m, a=a, u=u, v=v, w=w, ell=ell, b=b)
 
 

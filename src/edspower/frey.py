@@ -66,7 +66,7 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
     """Validate the solution and build the curve with closed-form invariants."""
     if s.a < 1:
         raise ValueError("a must be a positive integer")
-    if not arith.is_squarefree(s.a, budget):
+    if arith.squarefree_split(s.a, budget)[1] != 1:
         raise ValueError(f"a = {s.a} is not squarefree")
     if s.d < 1:
         raise ValueError("d must be a positive integer")
@@ -90,12 +90,11 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
     minus = QuadElement(a, v, -(u * u))  # v - u^2*sqrt(a)
     a2_coeff = 4 * u * sqrt_a
     a4_coeff = 2 * sqrt_a * plus
+    # nonzero: v = +-u^2*sqrt(a) would make v^2 - a*u^4 = 0 < d*w^(4*ell)
     delta = -512 * a * sqrt_a * plus * plus * minus
     # sign convention follows the standard c4 = b2^2 - 24 b4, which expands
     # here to 160*a*u^2 - 96*v*sqrt(a)
     c4 = 32 * sqrt_a * (5 * u * u * sqrt_a - 3 * v)
-    if delta.is_zero:
-        raise ValueError("degenerate solution: discriminant is 0")
     return FreyCurve(
         solution=s,
         a2_coeff=a2_coeff,
@@ -104,35 +103,6 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
         c4=c4,
         bad_primes=frozenset(bad_set(s.a, s.d, budget)),
     )
-
-
-def weierstrass_invariants(a1, a2, a3, a4, a6):
-    """(discriminant, c4) of a long Weierstrass model by the standard formulas.
-
-    Works over any commutative ring whose elements support +, -, * and
-    multiplication by ints: used with quadratic-field elements by
-    invariants_oracle and with plain integers in the tests.
-    """
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
-    disc = -b2 * b2 * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
-    c4 = b2 * b2 - 24 * b4
-    return disc, c4
-
-
-def invariants_oracle(F: FreyCurve) -> tuple[QuadElement, QuadElement]:
-    """(delta, c4) recomputed from the Weierstrass coefficients.
-
-    Uses the generic invariant formulas, not the closed forms; a mismatch
-    with the stored values is an internal fault.
-    """
-    zero = QuadElement(F.field_label, 0)
-    disc, c4 = weierstrass_invariants(zero, F.a2_coeff, zero, F.a4_coeff, zero)
-    if disc != F.delta or c4 != F.c4:
-        raise ArithmeticError("generic invariants disagree with the closed forms")
-    return disc, c4
 
 
 def _require_good_prime(F: FreyCurve, P: QuadPrime) -> None:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import arith
-from .arith import DEFAULT_BUDGET, Budget
 
 
 class SplitType(str, enum.Enum):
@@ -125,10 +124,10 @@ class QuadPrime:
     residue_norm: int
 
 
-def _require_field_label(a: int, budget: Budget = DEFAULT_BUDGET) -> None:
+def _require_field_label(a: int) -> None:
     if not isinstance(a, int) or a < 1:
         raise ValueError("a must be a positive integer")
-    if a > 1 and not arith.is_squarefree(a, budget):
+    if a > 1 and arith.squarefree_split(a)[1] != 1:
         raise ValueError(f"a = {a} is not squarefree")
 
 

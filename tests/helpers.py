@@ -7,6 +7,7 @@ from edspower import (
     DEFAULT_BUDGET,
     INFINITY,
     Point,
+    QuadElement,
     SplitType,
     exact_root,
     extend,
@@ -215,3 +216,32 @@ def prime_valuation_oracle(z, P) -> int:
         if v_here + v_conj != v_norm:
             raise ArithmeticError("conjugate valuations do not add up to the norm valuation")
         return v_here
+
+
+def weierstrass_invariants(a1, a2, a3, a4, a6):
+    """(discriminant, c4) of a long Weierstrass model by the standard formulas.
+
+    Works over any commutative ring whose elements support +, -, * and
+    multiplication by ints: used with quadratic-field elements by
+    invariants_oracle and with plain integers in the tests.
+    """
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
+    disc = -b2 * b2 * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
+    c4 = b2 * b2 - 24 * b4
+    return disc, c4
+
+
+def invariants_oracle(F):
+    """(delta, c4) recomputed from the Weierstrass coefficients.
+
+    Uses the generic invariant formulas, not the closed forms; a mismatch
+    with the stored values raises ArithmeticError.
+    """
+    zero = QuadElement(F.field_label, 0)
+    disc, c4 = weierstrass_invariants(zero, F.a2_coeff, zero, F.a4_coeff, zero)
+    if disc != F.delta or c4 != F.c4:
+        raise ArithmeticError("generic invariants disagree with the closed forms")
+    return disc, c4

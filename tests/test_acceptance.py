@@ -26,7 +26,6 @@ from edspower import (
     exponent_divisibility,
     find_k_p0,
     generate,
-    invariants_oracle,
     level_support,
     make_curve_xb,
     mul,
@@ -38,7 +37,7 @@ from edspower import (
     valuation,
 )
 
-from helpers import iroot_oracle, is_prime_oracle
+from helpers import invariants_oracle, iroot_oracle, is_prime_oracle
 
 
 def test_small_multiples_and_denominators_exact():

@@ -8,7 +8,6 @@ from edspower import (
     exact_root,
     factorize,
     is_probable_prime,
-    is_squarefree,
     perfect_power,
     squarefree_split,
     valuation,
@@ -235,13 +234,13 @@ def test_squarefree_split():
     for n in range(1, 800):
         a, u = squarefree_split(n)
         assert a * u * u == n
-        assert is_squarefree(a)
+        assert squarefree_split(a) == (a, 1)
     with pytest.raises(BudgetExhausted):
         squarefree_split(99999989 * 99999971, Budget(trial_bound=100, rho_iterations=4))
 
 
 def test_is_squarefree():
-    assert is_squarefree(1)
-    assert is_squarefree(30)
-    assert not is_squarefree(12)
-    assert not is_squarefree(49)
+    assert squarefree_split(1)[1] == 1
+    assert squarefree_split(30)[1] == 1
+    assert squarefree_split(12)[1] != 1
+    assert squarefree_split(49)[1] != 1

@@ -257,7 +257,7 @@ GOLDEN = [
     ("descend --b 5 --point 20,90 --m 2",
      0, "", "592ef0a47172293add31a5e8e2f595ad5902c6e2d11fb3151151878da2c83ea3"),
     ("descend --b 5 --point 20,90 --m 3 --ell 2",
-     3, "error: B = 19679 is not a perfect 2th power\n", NO_OUTPUT),
+     3, "error: B = 19679 is not a perfect power with exponent 2\n", NO_OUTPUT),
     ("descend --b 5 --point 20,90 --m 3 --trial-bound 10 --rho-iterations 0",
      4, "error: factoring budget exhausted on cofactor 35010889\n", NO_OUTPUT),
     ("frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1",

@@ -17,9 +17,8 @@ from edspower import (
     on_curve,
 )
 from edspower.curve import net
-from edspower.frey import weierstrass_invariants
 
-from helpers import add, multiples_oracle, neg, torsion_oracle
+from helpers import add, multiples_oracle, neg, torsion_oracle, weierstrass_invariants
 
 
 def test_make_curve_xb():

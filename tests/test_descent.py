@@ -1,12 +1,30 @@
+from fractions import Fraction
+from math import isqrt
+
 import pytest
 
 from edspower import (
+    Budget,
+    BudgetExhausted,
     EDSTerm,
     HypothesisError,
+    Point,
     construct,
     decompose,
+    generate,
+    make_curve_xb,
+    perfect_power,
     term,
     to_frey,
+)
+
+# (b, generator): (20, 90) on b = 5, its double, a b = 8 generator and the
+# b = 14 ledger point
+SWEEP = (
+    (5, Point(20, 90)),
+    (5, Point(Fraction(6241, 1296), Fraction(543599, 46656))),
+    (8, Point(Fraction(49, 36), Fraction(-791, 216))),
+    (14, Point(Fraction(103058, 2209), Fraction(-33190578, 103823))),
 )
 
 
@@ -47,6 +65,8 @@ def test_decompose_validation(base_curve, base_seq):
         decompose(base_curve, t, 0, 36)
     with pytest.raises(HypothesisError):
         decompose(base_curve, EDSTerm(1, 0, 1, 0), 1, 1)  # the 2-torsion shape
+    with pytest.raises(ArithmeticError):
+        decompose(base_curve, EDSTerm(1, -20, 1, 90), 1, 1)  # A < 0 fails C^2 = A(A^2 + b)
 
 
 def test_to_frey_and_construct(base_curve, base_seq):
@@ -58,3 +78,39 @@ def test_to_frey_and_construct(base_curve, base_seq):
         assert (sol.u, sol.v, sol.w, sol.ell) == (d.u, d.v, d.w, d.ell)
         F = construct(sol)  # validates the quartic again
         assert F.field_label == d.a
+
+
+def _split_over_divisors(b, A):
+    """(a, u) with A = a*u^2 and a a squarefree divisor of b, found without factoring A."""
+    for a in range(1, b + 1):
+        squarefree = all(a % (k * k) for k in range(2, isqrt(a) + 1))
+        if b % a == 0 and squarefree and A % a == 0 and isqrt(A // a) ** 2 == A // a:
+            return a, isqrt(A // a)
+    raise AssertionError(f"A = {A} is no squarefree divisor of b = {b} times a square")
+
+
+def test_descent_identities_over_sweep():
+    # a modest budget: where A's square part resists factoring decompose
+    # raises BudgetExhausted and the term yields no datum
+    budget = Budget(trial_bound=10_000, rho_iterations=20_000)
+    data = 0
+    for b, P in SWEEP:
+        c = make_curve_xb(b)
+        for t in generate(c, P, 12).terms:
+            a, u = _split_over_divisors(b, t.A)
+            exponents = {(1, t.B)}
+            pp = perfect_power(t.B) if t.B > 1 else None
+            if pp is not None:
+                exponents.add((pp[1], pp[0]))
+            for ell, w in exponents:
+                try:
+                    d = decompose(c, t, ell, w, budget)
+                except BudgetExhausted:
+                    continue
+                data += 1
+                assert (d.a, d.u, d.w, d.ell, d.b) == (a, u, w, ell, b)
+                assert t.A == d.a * d.u**2
+                assert abs(t.C) == d.a * d.u * d.v
+                assert d.a * d.v**2 == t.A**2 + b * t.B**4
+                assert d.v**2 - d.a * d.u**4 == (b // d.a) * d.w ** (4 * d.ell)
+    assert data >= 20

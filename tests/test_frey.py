@@ -12,10 +12,11 @@ from edspower import (
     classify_reduction,
     construct,
     exponent_divisibility,
-    invariants_oracle,
     primes_above,
     prime_valuation,
 )
+
+from helpers import invariants_oracle
 
 
 def _random_solutions(seed, count):

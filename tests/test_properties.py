@@ -1,6 +1,7 @@
 """Property tests: the elliptic net against the Fraction group law, the
-closed-form prime valuations against p-adic lifting, and the sieved
-perfect-power search against a Newton root for every prime exponent."""
+closed-form prime valuations against p-adic lifting, the sieved
+perfect-power search against a Newton root for every prime exponent, and
+the closed-form Frey invariants against the generic Weierstrass formulas."""
 from math import gcd, isqrt
 
 import pytest
@@ -9,9 +10,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from edspower import (  # noqa: E402
+    FreySolution,
     Point,
     QuadElement,
     SplitType,
+    construct,
     generate,
     is_torsion,
     make_curve_xb,
@@ -26,6 +29,7 @@ from helpers import (  # noqa: E402
     multiples_oracle,
     perfect_power_root_oracle,
     prime_valuation_oracle,
+    weierstrass_invariants,
 )
 
 M = 8
@@ -106,3 +110,22 @@ def test_perfect_power_matches_root_oracle(w, ell, factor, shift):
     n = w**ell * factor + shift
     hypothesis.assume(n > 1)
     assert perfect_power(n) == perfect_power_root_oracle(n)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.sampled_from((1, 2, 3, 5, 6, 7, 10, 13, 15, 21)),
+    st.integers(1, 60),
+    st.integers(1, 10**6),
+    st.integers(1, 5),
+    st.sampled_from((1, -1)),
+    st.sampled_from((1, -1)),
+)
+def test_frey_invariants_match_generic_formulas(a, u, v, ell, su, sv):
+    d = v * v - a * u**4
+    hypothesis.assume(d >= 1 and (a * d) % gcd(u, v) == 0)
+    F = construct(FreySolution(a=a, d=d, u=su * u, v=sv * v, w=1, ell=ell))
+    zero = QuadElement(a, 0)
+    disc, c4 = weierstrass_invariants(zero, F.a2_coeff, zero, F.a4_coeff, zero)
+    assert F.delta == disc and not disc.is_zero
+    assert F.c4 == c4
