@@ -11,8 +11,7 @@ terms, the scan hits) as an aligned table under its field names.
 
 Exit codes: 0 success, 2 usage or malformed input, 3 hypothesis violation
 (torsion or integral generator, term not a power), 4 factoring budget
-exhausted, 5 an internal arithmetic check failed (a result did not pass
-its re-verification).
+exhausted, 5 an internal arithmetic check failed.
 """
 from __future__ import annotations
 

@@ -8,13 +8,13 @@ v^2 - a*u^4 = (b/a)*w^(4l) feeding the curve construction over Q(sqrt(a)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt, prod
 
-from .arith import DEFAULT_BUDGET, Budget, squarefree_split
+from .arith import DEFAULT_BUDGET, Budget, valuation
 from .curve import Curve
 from .eds import EDSTerm
 from .errors import HypothesisError
-from .frey import FreySolution
+from .frey import FreySolution, bad_set
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,8 @@ def decompose(c: Curve, t: EDSTerm, ell: int, w: int, budget: Budget = DEFAULT_B
     """Decompose a term whose B equals w**ell.
 
     The harness mode ell = 1, w = B exercises every identity on arbitrary
-    terms; genuine power mode passes the actual root and exponent.
+    terms; genuine power mode passes the actual root and exponent.  The
+    budget covers factoring 2b; A is never factored.
     """
     b = c.b
     if ell < 1 or w < 1:
@@ -51,9 +52,12 @@ def decompose(c: Curve, t: EDSTerm, ell: int, w: int, budget: Budget = DEFAULT_B
         raise ArithmeticError("term fails C^2 = A(A^2 + b*B^4)")
 
     # the check above rejects A < 0 and, as A = a*u^2 with a squarefree, gives
-    # |C| = a*u*v with a*v^2 = A^2 + b*w^(4*ell): the quartic once a | b
-    a, u = squarefree_split(t.A, budget)
-    if b % a != 0:
+    # |C| = a*u*v with a*v^2 = A^2 + b*w^(4*ell): the quartic once a | b.  So
+    # a is the product of the primes of b at which A has odd valuation, and
+    # A = a*u^2 holds exactly when A / a is a square
+    a = prod(p for p in bad_set(1, b, budget) if b % p == 0 and valuation(t.A, p) % 2)
+    u = isqrt(t.A // a)
+    if a * u * u != t.A:
         raise ArithmeticError("squarefree part of A does not divide b")
     v = abs(t.C) // (a * u)
     if b % gcd(u, v) != 0:

@@ -66,8 +66,6 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
     """Validate the solution and build the curve with closed-form invariants."""
     if s.a < 1:
         raise ValueError("a must be a positive integer")
-    if arith.squarefree_split(s.a, budget)[1] != 1:
-        raise ValueError(f"a = {s.a} is not squarefree")
     if s.d < 1:
         raise ValueError("d must be a positive integer")
     if s.u == 0 or s.v == 0 or s.w == 0:
@@ -83,6 +81,9 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
         raise ValueError("v^2 - a*u^4 = d*w^(4*ell) fails")
     if (s.a * s.d) % gcd(s.u, s.v) != 0:
         raise ValueError("gcd(u, v) does not divide a*d")
+    # last: the only check that factors, so malformed input spends no budget
+    if arith.squarefree_split(s.a, budget)[1] != 1:
+        raise ValueError(f"a = {s.a} is not squarefree")
 
     a, u, v = s.a, s.u, s.v
     sqrt_a = QuadElement(a, 0, 1)

@@ -285,14 +285,6 @@ def build_report(
     T = frey.bad_set(1, b, budget)
     k, p0, incomplete = find_k_p0(s, q, T, search_cap, budget)
 
-    # re-verify the pair against its defining property: p0 lies outside T,
-    # divides the term at the index and none of the earlier terms
-    index = q ** (k - arith.valuation(B1, q))
-    s = eds.extend(s, index)
-    B = [t.B for t in s.terms[:index]]
-    if p0 in T or B[-1] % p0 != 0 or any(Bj % p0 == 0 for Bj in B[:-1]):
-        raise ArithmeticError("(k, p0) failed re-verification against the sequence")
-
     thr = threshold(k, b, c_config, p0)
     # the squarefree divisors of b, from the primes of T that divide it
     divisors = [1]

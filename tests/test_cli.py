@@ -13,8 +13,8 @@ from edspower import (
     LedgerReport,
     LevelSupport,
     Point,
+    eds,
     generate,
-    ledger,
     make_curve_xb,
 )
 from edspower.cli import build_parser, main
@@ -190,22 +190,29 @@ def test_exit_codes(capsys):
 
 
 def test_budget_exhaustion_exit_code(capsys):
-    # A_3 = 2^2 * 5 * 61^2 * 97^2; a tiny budget cannot certify its square part
-    code = main(["descend", "--b", "5", "--point", "20,90", "--m", "3",
+    # a valid solution whose a = 1000036000099 cannot be proven squarefree
+    # without rho
+    code = main(["frey", "--a", "1000036000099", "--d", "225", "--u", "1",
+                 "--v", "1000018", "--w", "1", "--ell", "1",
                  "--trial-bound", "10", "--rho-iterations", "0"])
     assert code == 4
     assert "factor" in capsys.readouterr().err
 
 
 def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):
-    # a (k, p0) pair that fails re-verification: 11 does not divide B_2
-    monkeypatch.setattr(ledger, "find_k_p0", lambda *args: (3, 11, ()))
-    code = main(["ledger", "--b", "5", "--point", "6241/1296,543599/46656",
-                 "--q", "2", "--c-config", "100"])
+    # a term off the curve: decompose's curve-equation check fails
+    real = eds.term
+
+    def off_curve(c, P, m):
+        t = real(c, P, m)
+        return EDSTerm(t.m, t.A, t.B, t.C + 1)
+
+    monkeypatch.setattr(eds, "term", off_curve)
+    code = main(["descend", "--b", "5", "--point", "20,90", "--m", "3"])
     captured = capsys.readouterr()
     assert code == 5
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "re-verification" in captured.err
+    assert captured.err == "error: term fails C^2 = A(A^2 + b*B^4)\n"
     assert "Traceback" not in captured.err
 
 
@@ -259,7 +266,9 @@ GOLDEN = [
     ("descend --b 5 --point 20,90 --m 3 --ell 2",
      3, "error: B = 19679 is not a perfect power with exponent 2\n", NO_OUTPUT),
     ("descend --b 5 --point 20,90 --m 3 --trial-bound 10 --rho-iterations 0",
-     4, "error: factoring budget exhausted on cofactor 35010889\n", NO_OUTPUT),
+     0, "", "7ce4518484eef7251c5346c9a57c567538867e8318a7c761ac65d12ea11ecb60"),
+    ("descend --b 5 --point 20,90 --m 8",
+     0, "", "d4aa8fa0f54aa3dee481d256b19d243f1589b9c21a8ce624feadde469b5dfde9"),
     ("frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1",
      0, "", "4759d73dbcdb6710d6d736e17e471c9f98c8ae3ffaa7640b4cc23112bab8069b"),
     ("frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1 --prime 3",
@@ -268,6 +277,10 @@ GOLDEN = [
      0, "", "80967eb7181fc1b5062cd4f087828ae822b2d5b42efacaf516a1b30dafbde7e3"),
     ("frey --a 1 --d 5 --u 1 --v 2 --w 1 --ell 1",
      2, "error: v^2 - a*u^4 = d*w^(4*ell) fails\n", NO_OUTPUT),
+    ("frey --a 1000036000099 --d 225 --u 1 --v 1000018 --w 1 --ell 1 --trial-bound 10 --rho-iterations 0",
+     4, "error: factoring budget exhausted on cofactor 1000036000099\n", NO_OUTPUT),
+    ("frey --a 1000036000099 --d 0 --u 1 --v 1 --w 1 --ell 1 --trial-bound 10 --rho-iterations 0",
+     2, "error: d must be a positive integer\n", NO_OUTPUT),
     ("ledger --b 5 --point {2P} --q 2 --c-config 100",
      0, "", "ce33d91e8ca4907a58e4373652a094c1fe9ee5726df893ba62bffb76f1f528f2"),
     ("ledger --b 5 --point {2P} --q 3 --c-config 100",

@@ -5,10 +5,10 @@ import pytest
 
 from edspower import (
     Budget,
-    BudgetExhausted,
     EDSTerm,
     HypothesisError,
     Point,
+    arith,
     construct,
     decompose,
     generate,
@@ -90,8 +90,7 @@ def _split_over_divisors(b, A):
 
 
 def test_descent_identities_over_sweep():
-    # a modest budget: where A's square part resists factoring decompose
-    # raises BudgetExhausted and the term yields no datum
+    # a modest budget suffices for every term: only 2b is factored
     budget = Budget(trial_bound=10_000, rho_iterations=20_000)
     data = 0
     for b, P in SWEEP:
@@ -103,14 +102,29 @@ def test_descent_identities_over_sweep():
             if pp is not None:
                 exponents.add((pp[1], pp[0]))
             for ell, w in exponents:
-                try:
-                    d = decompose(c, t, ell, w, budget)
-                except BudgetExhausted:
-                    continue
+                d = decompose(c, t, ell, w, budget)
                 data += 1
                 assert (d.a, d.u, d.w, d.ell, d.b) == (a, u, w, ell, b)
                 assert t.A == d.a * d.u**2
                 assert abs(t.C) == d.a * d.u * d.v
                 assert d.a * d.v**2 == t.A**2 + b * t.B**4
                 assert d.v**2 - d.a * d.u**4 == (b // d.a) * d.w ** (4 * d.ell)
-    assert data >= 20
+    assert data == 50
+
+
+def test_decompose_does_not_factor_the_term(monkeypatch):
+    # A has hundreds to thousands of bits from m = 8 on, but only divisors
+    # of 2b may be factored
+    real = arith.factorize
+    for b, P in SWEEP:
+
+        def guarded(n, budget=arith.DEFAULT_BUDGET, b=b):
+            if (2 * b) % n:
+                raise AssertionError(f"factorize({n}) called")
+            return real(n, budget)
+
+        monkeypatch.setattr(arith, "factorize", guarded)
+        c = make_curve_xb(b)
+        for t in generate(c, P, 12).terms:
+            d = decompose(c, t, 1, t.B)
+            assert t.A == d.a * d.u**2 and b % d.a == 0

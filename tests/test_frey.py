@@ -8,6 +8,7 @@ from edspower import (
     FreySolution,
     QuadElement,
     Reduction,
+    arith,
     bad_set,
     classify_reduction,
     construct,
@@ -75,7 +76,7 @@ def test_closed_forms_match_generic_invariants():
 
 def test_construct_validation():
     with pytest.raises(ValueError):
-        construct(FreySolution(a=4, d=1, u=1, v=3, w=1, ell=1))  # a not squarefree
+        construct(FreySolution(a=4, d=5, u=1, v=3, w=1, ell=1))  # a not squarefree
     with pytest.raises(ValueError):
         construct(FreySolution(a=1, d=5, u=79, v=6881, w=36, ell=2))  # quartic fails
     with pytest.raises(ValueError):
@@ -85,6 +86,25 @@ def test_construct_validation():
     with pytest.raises(ValueError):
         # gcd(u, v) = 2 does not divide a*d = 3
         construct(FreySolution(a=3, d=1, u=2, v=8, w=2, ell=1))
+
+
+def test_construct_factors_a_last(monkeypatch):
+    # a = 1000036000099 cannot be proven squarefree without rho: a malformed
+    # solution is a ValueError, a valid one exhausts the budget
+    tiny = Budget(trial_bound=10, rho_iterations=0)
+    with pytest.raises(ValueError, match="d must be"):
+        construct(FreySolution(a=1000036000099, d=0, u=1, v=1, w=1, ell=1), tiny)
+    with pytest.raises(BudgetExhausted):
+        construct(FreySolution(a=1000036000099, d=225, u=1, v=1000018, w=1, ell=1), tiny)
+
+    def no_factoring(n, budget=None):
+        raise AssertionError(f"factorize({n}) called")
+
+    # a wrong solution with a 150-bit a is rejected before a is factored
+    monkeypatch.setattr(arith, "factorize", no_factoring)
+    a = (2**61 - 1) * (2**89 - 1)
+    with pytest.raises(ValueError, match="fails"):
+        construct(FreySolution(a=a, d=1, u=1, v=a, w=1, ell=1))
 
 
 def test_bad_set():

@@ -264,6 +264,24 @@ def test_build_report_walk_does_not_factor_the_index_term(base_curve, doubled_po
     assert (r.k, r.p0) == (3, 7)
 
 
+def test_build_report_pair_matches_generating_oracle():
+    # the report reads only B_{q^j} and B_{q^(j-1)} off the net; the oracle
+    # generates every earlier term and checks primitivity against each
+    budget = Budget(trial_bound=10_000, rho_iterations=300)
+    reports = 0
+    for b, Q, q in _sweep_cases(11, 20):
+        c = make_curve_xb(b)
+        s = generate(c, Q, 1)
+        try:
+            r = build_report(c, Q, q, 100, budget, 16)
+        except BudgetExhausted:
+            assert find_k_p0_oracle(s, q, bad_set(1, b), 16, budget) is None, (b, Q, q)
+            continue
+        assert (r.k, r.p0) == find_k_p0_oracle(s, q, set(r.T), 16, budget), (b, Q, q)
+        reports += 1
+    assert reports >= 14
+
+
 def test_build_report_large_index_term():
     # B_1 = 47 and B_47 has 17,901 bits: the walk stops at 15791 instead of
     # factoring the term
@@ -298,7 +316,7 @@ def test_exact_bound_policies(base_curve, doubled_point):
         exact_bound([EigenRecord("L", 0, 7, 15)])
 
 
-def test_build_report_rejections(base_curve, base_point, monkeypatch):
+def test_build_report_rejections(base_curve, base_point):
     with pytest.raises(HypothesisError):
         build_report(base_curve, Point(0, 0), 2, 100)  # torsion
     with pytest.raises(HypothesisError):
@@ -312,12 +330,6 @@ def test_build_report_rejections(base_curve, base_point, monkeypatch):
         build_report(base_curve, twoP, 2, 0)  # c_config must be positive
     with pytest.raises(HypothesisError):
         build_report(base_curve, twoP, 7, 100)  # 7 does not divide B_1
-    # the re-verification rejects a pair that is not a primitive divisor
-    # outside T: 5 is in T, 11 does not divide B_2, 3 already divides B_1
-    for bad in (5, 11, 3):
-        monkeypatch.setattr(ledger, "find_k_p0", lambda *args, p0=bad: (3, p0, ()))
-        with pytest.raises(ArithmeticError):
-            build_report(base_curve, twoP, 2, 100)
 
 
 def test_build_report_on_second_curve():
