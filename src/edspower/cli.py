@@ -171,7 +171,8 @@ def _cmd_frey(args: argparse.Namespace) -> dict:
         if p < 2 or not arith.is_probable_prime(p):
             raise ValueError(f"--prime {p} is not prime")
         ideals = []
-        for qp in quadfield.primes_above(F.field_label, p):
+        # construct has checked the label, so it is not factored again
+        for qp in quadfield._primes_above(F.field_label, p):
             red = frey.classify_reduction(F, qp)
             val, ok = frey.exponent_divisibility(F, qp)
             ideals.append({
@@ -189,6 +190,8 @@ def _cmd_frey(args: argparse.Namespace) -> dict:
 def _cmd_ledger(args: argparse.Namespace) -> ledger.LedgerReport:
     budget = Budget(args.trial_bound, args.rho_iterations)
     c, P = _curve_and_point(args)
+    if args.search_cap < 1:
+        raise ValueError("--search-cap must be positive")
     table = None
     if args.eigen_table is not None:
         try:

@@ -81,9 +81,13 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
         raise ValueError("v^2 - a*u^4 = d*w^(4*ell) fails")
     if (s.a * s.d) % gcd(s.u, s.v) != 0:
         raise ValueError("gcd(u, v) does not divide a*d")
-    # last: the only check that factors, so malformed input spends no budget
-    if arith.squarefree_split(s.a, budget)[1] != 1:
+    # last: the one factorization, of 2ad, so malformed input spends no
+    # budget; its primes settle both the squarefree check and the bad set
+    f = arith.factorize(2 * s.a * s.d, budget)
+    if any(s.a % (p * p) == 0 for p in f.factors):
         raise ValueError(f"a = {s.a} is not squarefree")
+    if not f.is_complete:
+        raise BudgetExhausted(f"factoring budget exhausted on cofactor {f.unfactored_cofactor}")
 
     a, u, v = s.a, s.u, s.v
     sqrt_a = QuadElement(a, 0, 1)
@@ -102,7 +106,7 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
         a4_coeff=a4_coeff,
         delta=delta,
         c4=c4,
-        bad_primes=frozenset(bad_set(s.a, s.d, budget)),
+        bad_primes=frozenset(f.factors),
     )
 
 

@@ -11,15 +11,16 @@ eigenvalue table sharpens the envelope to the exact maximum of
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isqrt
 
-from . import arith, eds, frey, quadfield
+from . import arith, eds, frey
 from .arith import DEFAULT_BUDGET, Budget
 from .curve import Curve, Point, net
 from .eds import Sequence
 from .errors import BudgetExhausted, HypothesisError
-from .quadfield import SplitType
+from .quadfield import QuadPrime, SplitType, _primes_above
 
 DEFAULT_SEARCH_CAP = 64
 
@@ -172,12 +173,11 @@ def threshold(k: int, b: int, c_config: int, p0: int) -> int:
     return max(k, 2 * b, c_config, p0, 5)
 
 
-def envelope_bound(p0: int, a: int) -> EnvelopeBound:
-    """(sqrt(N) + 1)^2 where N is the residue norm of a prime over p0 in Q(sqrt(a))."""
-    kind = quadfield.splitting_type(a, p0)
-    if kind is SplitType.RAMIFIED:
-        raise ValueError(f"p0 = {p0} ramifies in Q(sqrt({a})); p0 must avoid 2a")
-    N = p0 if kind is SplitType.SPLIT else p0 * p0
+def envelope_bound(P: QuadPrime) -> EnvelopeBound:
+    """(sqrt(N) + 1)^2 where N is the residue norm of the prime P over p0."""
+    if P.kind is SplitType.RAMIFIED:
+        raise ValueError(f"p0 = {P.p} ramifies in Q(sqrt({P.a})); p0 must avoid 2a")
+    N = P.residue_norm
     r = isqrt(N)
     if r * r == N:
         value = (r + 1) ** 2
@@ -187,28 +187,20 @@ def envelope_bound(p0: int, a: int) -> EnvelopeBound:
     return EnvelopeBound(N, None, ceiling, f"{N + 1} + 2*sqrt({N})")
 
 
-def level_support(a: int, d: int) -> LevelSupport:
-    """Exponent caps for every prime ideal over a prime of 2ad.
+def level_support(ideals: Iterable[QuadPrime]) -> LevelSupport:
+    """Exponent caps for the given prime ideals, those over the primes of 2ad.
 
     Caps: 2 at ideals over p not dividing 6; 2 + 6e over 2; 2 + 3e over 3,
     with e the ramification index.  count multiplies out (cap + 1) over all
     ideals, the size of the exponent-vector enumeration.
     """
-    if a < 1 or d < 1:
-        raise ValueError("a and d must be positive")
     entries = []
     count = 1
-    for p in sorted(frey.bad_set(a, d)):
-        for P in quadfield.primes_above(a, p):
-            e = 2 if P.kind is SplitType.RAMIFIED else 1
-            if p == 2:
-                cap = 2 + 6 * e
-            elif p == 3:
-                cap = 2 + 3 * e
-            else:
-                cap = 2
-            entries.append(LevelEntry(p, P.kind, e, cap))
-            count *= cap + 1
+    for P in ideals:
+        e = 2 if P.kind is SplitType.RAMIFIED else 1
+        cap = {2: 2 + 6 * e, 3: 2 + 3 * e}.get(P.p, 2)
+        entries.append(LevelEntry(P.p, P.kind, e, cap))
+        count *= cap + 1
     return LevelSupport(tuple(entries), count)
 
 
@@ -291,16 +283,13 @@ def build_report(
     for p in sorted(T):
         if b % p == 0:
             divisors += [a * p for a in divisors]
+    # T, the primes of 2*a*(b/a) = 2b, is every field's bad set and each
+    # label is a product of its primes, so nothing is factored again
     fields = []
     for a in sorted(divisors):
-        fields.append(
-            CandidateField(
-                a=a,
-                splitting_of_p0=quadfield.splitting_type(a, p0),
-                envelope=envelope_bound(p0, a),
-                level_support=level_support(a, b // a),
-            )
-        )
+        P0 = _primes_above(a, p0)[0]
+        ideals = [P for p in sorted(T) for P in _primes_above(a, p)]
+        fields.append(CandidateField(a, P0.kind, envelope_bound(P0), level_support(ideals)))
 
     caveats = [
         "c_config is user-supplied configuration, not derived from the sequence",

@@ -2,6 +2,10 @@
 
 Elements are the integers x + y*sqrt(a) of Z[sqrt(a)].  When a = 1 the
 field collapses to Q and y is folded into x on construction.
+
+primes_above and splitting_type check a label squarefree by factoring it
+under the default budget; labels the package builds from primes it has
+already found go to _primes_above unchecked.
 """
 from __future__ import annotations
 
@@ -131,27 +135,6 @@ def _require_field_label(a: int) -> None:
         raise ValueError(f"a = {a} is not squarefree")
 
 
-def splitting_type(a: int, p: int) -> SplitType:
-    """How the rational prime p behaves in Q(sqrt(a)).
-
-    a = 1 returns split by convention (the two "primes" coincide with p
-    itself; callers never rely on the distinction).
-    """
-    _require_field_label(a)
-    if p < 2 or not arith.is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if a == 1:
-        return SplitType.SPLIT
-    if p == 2:
-        if a % 2 == 0 or a % 4 == 3:
-            return SplitType.RAMIFIED
-        return SplitType.SPLIT if a % 8 == 1 else SplitType.INERT
-    if a % p == 0:
-        return SplitType.RAMIFIED
-    legendre = pow(a, (p - 1) // 2, p)
-    return SplitType.SPLIT if legendre == 1 else SplitType.INERT
-
-
 def _sqrt_mod_p(a: int, p: int) -> int:
     """A square root of a modulo an odd prime p (a must be a residue), by Tonelli-Shanks.
 
@@ -180,19 +163,33 @@ def _sqrt_mod_p(a: int, p: int) -> int:
     return r
 
 
-def primes_above(a: int, p: int) -> list[QuadPrime]:
-    """The primes of Q(sqrt(a)) over p, split ones with their roots mod p."""
-    kind = splitting_type(a, p)
-    if kind is SplitType.INERT:
-        return [QuadPrime(a, p, kind, None, p * p)]
-    if kind is SplitType.RAMIFIED:
-        return [QuadPrime(a, p, kind, None, p)]
+def _primes_above(a: int, p: int) -> list[QuadPrime]:
+    """primes_above for a squarefree a and a prime p, checking neither."""
     if a == 1:
-        # rational field: a single entry, root 1 so that x + y*root = x + y
-        return [QuadPrime(a, p, kind, 1, p)]
+        # rational field: one split entry (the two "primes" coincide with p),
+        # root 1 so that x + y*root = x + y
+        return [QuadPrime(a, p, SplitType.SPLIT, 1, p)]
+    if a % p == 0 or (p == 2 and a % 4 == 3):
+        return [QuadPrime(a, p, SplitType.RAMIFIED, None, p)]
+    # a is a square mod p (mod 8 when p = 2) exactly when p splits
+    if not (a % 8 == 1 if p == 2 else pow(a, (p - 1) // 2, p) == 1):
+        return [QuadPrime(a, p, SplitType.INERT, None, p * p)]
     # over 2 (a = 1 mod 8) the root 1 serves both primes
     r = _sqrt_mod_p(a, p) if p != 2 else 1
-    return [QuadPrime(a, p, kind, r, p), QuadPrime(a, p, kind, (p - r) % p, p)]
+    return [QuadPrime(a, p, SplitType.SPLIT, r, p), QuadPrime(a, p, SplitType.SPLIT, (p - r) % p, p)]
+
+
+def primes_above(a: int, p: int) -> list[QuadPrime]:
+    """The primes of Q(sqrt(a)) over p, split ones with their roots mod p."""
+    _require_field_label(a)
+    if p < 2 or not arith.is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _primes_above(a, p)
+
+
+def splitting_type(a: int, p: int) -> SplitType:
+    """How the rational prime p behaves in Q(sqrt(a)); split for a = 1."""
+    return primes_above(a, p)[0].kind
 
 
 def prime_valuation(z: QuadElement, P: QuadPrime) -> int:

@@ -289,6 +289,8 @@ GOLDEN = [
      0, "", "b5d1a60818f32c788002c2f295305bdf8da5e8c48e6d0bc2d24137cb61de85a5"),
     ("ledger --b 5 --point {2P} --q 3 --c-config 100 --search-cap 2",
      4, "error: no primitive divisor outside T at indices up to 2; tried nothing\n", NO_OUTPUT),
+    ("ledger --b 5 --point {2P} --q 3 --c-config 100 --search-cap 0",
+     2, "error: --search-cap must be positive\n", NO_OUTPUT),
     ("ledger --b 5 --point {2P} --q 3 --c-config 100 --trial-bound 10 --rho-iterations 0",
      4, "error: no primitive divisor outside T at indices up to 64; tried index 3 (factoring "
         "incomplete), index 9 (factoring incomplete), index 27 (factoring incomplete)\n", NO_OUTPUT),
@@ -298,6 +300,17 @@ GOLDEN = [
      2, "error: q = 4 is not prime\n", NO_OUTPUT),
     ("ledger --b 14 --point 103058/2209,-33190578/103823 --q 47 --c-config 100",
      0, "", "734c74ff04e003483508dfc1696fa4402c461d75ef50f96ec4ddbbe56b483ee1"),
+    # b = 19 * 210527 * 1000003, a prime past the default trial bound
+    ("ledger --b 4000025000039 --point 1/4,8000025/8 --q 2 --c-config 1",
+     0, "", "760c12a3216db31a0342b3a2b6650d20f08d2373eebebdc7f33853be4b703165"),
+    # a = b = 2199023255713 * 8796093022853 splits only under the raised rho
+    # budget, which every factorization of the call must use
+    ("ledger --b 19342813116668607771809189 --point 1/4,17592186045705/8 --q 2 --c-config 1 "
+     "--rho-iterations 20000000",
+     0, "", "bcb20637fd08b9b1a6d4a94a87d9d341fed75100478a2d647407d2730b5473ce"),
+    ("frey --a 19342813116668607771809189 --d 6597069767140 --u 1 --v 4398046511427 --w 1 --ell 1 "
+     "--rho-iterations 20000000 --prime 3",
+     0, "", "cfb1634fb153a7286c9e674d14ab3ed6f4c51f406b19ca85a663038e437909fd"),
 ]
 
 

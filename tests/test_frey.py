@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -96,15 +97,30 @@ def test_construct_factors_a_last(monkeypatch):
         construct(FreySolution(a=1000036000099, d=0, u=1, v=1, w=1, ell=1), tiny)
     with pytest.raises(BudgetExhausted):
         construct(FreySolution(a=1000036000099, d=225, u=1, v=1000018, w=1, ell=1), tiny)
+    # a square prime of a that is found settles the check, unfactored rest or not
+    a = 9 * 1000036000099
+    v = isqrt(a) + 1
+    with pytest.raises(ValueError, match="not squarefree"):
+        construct(FreySolution(a=a, d=v * v - a, u=1, v=v, w=1, ell=1), tiny)
 
-    def no_factoring(n, budget=None):
-        raise AssertionError(f"factorize({n}) called")
+    real = arith.factorize
+    calls = []
+
+    def spy(n, budget=arith.DEFAULT_BUDGET):
+        calls.append((n, budget))
+        return real(n, budget)
 
     # a wrong solution with a 150-bit a is rejected before a is factored
-    monkeypatch.setattr(arith, "factorize", no_factoring)
+    monkeypatch.setattr(arith, "factorize", spy)
     a = (2**61 - 1) * (2**89 - 1)
     with pytest.raises(ValueError, match="fails"):
         construct(FreySolution(a=a, d=1, u=1, v=a, w=1, ell=1))
+    assert calls == []
+    # a valid one is factored once, as 2ad, under the budget passed in
+    budget = Budget(trial_bound=100, rho_iterations=50)
+    F = construct(FreySolution(a=5, d=1, u=11834, v=498029769, w=19679, ell=1), budget)
+    assert calls == [(10, budget)]
+    assert F.bad_primes == {2, 5}
 
 
 def test_bad_set():

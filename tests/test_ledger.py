@@ -23,6 +23,7 @@ from edspower import (
     load_eigenvalue_table,
     make_curve_xb,
     mul,
+    primes_above,
     threshold,
 )
 
@@ -126,16 +127,16 @@ def test_threshold():
 
 
 def test_envelope_bound_known_values():
-    e = envelope_bound(7, 5)
+    e = envelope_bound(primes_above(5, 7)[0])
     assert (e.residue_norm, e.exact_value, e.ceiling) == (49, 64, 64)
     assert e.display == "64"
-    e = envelope_bound(7, 1)
+    e = envelope_bound(primes_above(1, 7)[0])
     assert (e.residue_norm, e.exact_value, e.ceiling) == (7, None, 14)
     assert e.display == "8 + 2*sqrt(7)"
-    e = envelope_bound(11, 5)
+    e = envelope_bound(primes_above(5, 11)[0])
     assert (e.residue_norm, e.exact_value, e.ceiling) == (11, None, 19)
     with pytest.raises(ValueError):
-        envelope_bound(5, 5)  # ramified
+        envelope_bound(primes_above(5, 5)[0])  # ramified
 
 
 def test_envelope_ceiling_is_tight():
@@ -144,7 +145,7 @@ def test_envelope_ceiling_is_tight():
         for p0 in primes:
             if a % p0 == 0:
                 continue
-            e = envelope_bound(p0, a)
+            e = envelope_bound(primes_above(a, p0)[0])
             N = e.residue_norm
             assert e.ceiling > 0
             if e.exact_value is not None:
@@ -157,27 +158,32 @@ def test_envelope_ceiling_is_tight():
                 assert r * r > 4 * N >= (r - 1) * (r - 1)
 
 
+def _level_support(a, d):
+    # the ideals over the primes of 2ad, as build_report hands them over
+    return level_support(P for p in sorted(bad_set(a, d)) for P in primes_above(a, p))
+
+
 def test_level_support_known_counts():
-    ls = level_support(5, 1)
+    ls = _level_support(5, 1)
     assert ls.count == 27
     assert sorted((e.p, e.cap) for e in ls.entries) == [(2, 8), (5, 2)]
     inert_two = next(e for e in ls.entries if e.p == 2)
     assert inert_two.kind == SplitType.INERT and inert_two.ramification == 1
-    ls = level_support(1, 5)
+    ls = _level_support(1, 5)
     assert ls.count == 27
-    ls = level_support(1, 1)
+    ls = _level_support(1, 1)
     assert ls.count == 9
     assert [(e.p, e.cap) for e in ls.entries] == [(2, 8)]
 
 
 def test_level_support_ramified_caps():
     # 2 and 3 both ramify in Q(sqrt(15)): caps 2 + 12 and 2 + 6
-    ls = level_support(15, 1)
+    ls = _level_support(15, 1)
     caps = {e.p: e.cap for e in ls.entries}
     assert caps == {2: 14, 3: 8, 5: 2}
     assert ls.count == 15 * 9 * 3
     # split primes over p not dividing 6 contribute two ideals of cap 2
-    ls = level_support(5, 11)
+    ls = _level_support(5, 11)
     caps = [(e.p, e.cap) for e in ls.entries]
     assert caps.count((11, 2)) == 2
     assert ls.count == 27 * 9
@@ -250,18 +256,20 @@ def test_build_report_caveat_names_every_incomplete_index(base_curve, doubled_po
 
 
 def test_build_report_walk_does_not_factor_the_index_term(base_curve, doubled_point, monkeypatch):
-    # p0 = 7 <= trial_bound: only divisors of 2b = 10, for T, the field
-    # labels and the level supports, may be factored
+    # p0 = 7 <= trial_bound: the one factorization is of 2b = 10, for T,
+    # under the budget passed in; the field data reuse its primes
     real = arith.factorize
+    calls = []
 
-    def guarded(n, budget=arith.DEFAULT_BUDGET):
-        if 10 % n:
-            raise AssertionError(f"factorize({n}) called")
+    def spy(n, budget=arith.DEFAULT_BUDGET):
+        calls.append((n, budget))
         return real(n, budget)
 
-    monkeypatch.setattr(arith, "factorize", guarded)
-    r = build_report(base_curve, doubled_point, 2, 100)
+    monkeypatch.setattr(arith, "factorize", spy)
+    budget = Budget(trial_bound=1000, rho_iterations=500)
+    r = build_report(base_curve, doubled_point, 2, 100, budget)
     assert (r.k, r.p0) == (3, 7)
+    assert calls == [(10, budget)]
 
 
 def test_build_report_pair_matches_generating_oracle():
