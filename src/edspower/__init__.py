@@ -46,7 +46,7 @@ from .ledger import (
     load_eigenvalue_table,
     threshold,
 )
-from .quadfield import QuadElement, QuadPrime, SplitType, prime_valuation, primes_above, splitting_type
+from .quadfield import QuadElement, QuadPrime, SplitType, prime_valuation, primes_above
 
 __version__ = "0.1.0"
 
@@ -58,8 +58,7 @@ __all__ = [
     "EDSTerm", "PrimitiveDivisors", "Sequence", "check_strong_divisibility",
     "check_valuation_growth", "extend", "generate", "primitive_divisors",
     "scan_powers", "term",
-    "QuadElement", "QuadPrime", "SplitType", "prime_valuation",
-    "primes_above", "splitting_type",
+    "QuadElement", "QuadPrime", "SplitType", "prime_valuation", "primes_above",
     "FreyCurve", "FreySolution", "Reduction", "bad_set", "classify_reduction",
     "construct", "exponent_divisibility",
     "DescentDatum", "decompose", "to_frey",

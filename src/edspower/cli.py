@@ -190,8 +190,6 @@ def _cmd_frey(args: argparse.Namespace) -> dict:
 def _cmd_ledger(args: argparse.Namespace) -> ledger.LedgerReport:
     budget = Budget(args.trial_bound, args.rho_iterations)
     c, P = _curve_and_point(args)
-    if args.search_cap < 1:
-        raise ValueError("--search-cap must be positive")
     table = None
     if args.eigen_table is not None:
         try:

@@ -1,9 +1,10 @@
 """Auxiliary curves over Q(sqrt(a)) attached to v^2 - a*u^4 = d*w^(4l).
 
 A solution gives the curve Y^2 = X(X^2 + 4u*sqrt(a) X + 2*sqrt(a)(v +
-u^2*sqrt(a))).  Its discriminant and c4 have closed forms supported, away
-from the primes dividing 2ad, entirely on v +- u^2*sqrt(a); the reduction
-type there is read off the discriminant valuation, and the exponent law
+u^2*sqrt(a))).  Its coefficients, discriminant and c4 are built directly
+from their closed forms in a, u and v.  Away from the primes dividing 2ad
+the discriminant is supported entirely on v +- u^2*sqrt(a); the reduction
+type there is read off its valuation, and the exponent law
 l | v_P(delta) is what the downstream bound ledger consumes.
 """
 from __future__ import annotations
@@ -72,49 +73,44 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
         raise ValueError("u, v, w must all be nonzero")
     if s.ell < 1:
         raise ValueError("ell must be a positive integer")
-    # |v^2 - a*u^4| has at most lhs_bits bits and d*w^(4*ell) at least
-    # 4*ell*(bits(w) - 1): a right side that must be larger is rejected before
-    # w^(4*ell) is built, which for a large ell would not fit in memory
-    lhs_bits = max(2 * s.v.bit_length(), s.a.bit_length() + 4 * s.u.bit_length()) + 1
-    if (4 * s.ell * (s.w.bit_length() - 1) > lhs_bits
-            or s.v**2 - s.a * s.u**4 != s.d * s.w ** (4 * s.ell)):
+    a, u, v = s.a, s.u, s.v
+    n = v * v - a * u**4
+    # d*w^(4*ell) has more than 4*ell*(bits(w) - 1) bits: a right side that
+    # must outgrow n is rejected before w^(4*ell) is built, which for a large
+    # ell would not fit in memory
+    if 4 * s.ell * (s.w.bit_length() - 1) > n.bit_length() or n != s.d * s.w ** (4 * s.ell):
         raise ValueError("v^2 - a*u^4 = d*w^(4*ell) fails")
-    if (s.a * s.d) % gcd(s.u, s.v) != 0:
+    if (a * s.d) % gcd(u, v) != 0:
         raise ValueError("gcd(u, v) does not divide a*d")
     # last: the one factorization, of 2ad, so malformed input spends no
     # budget; its primes settle both the squarefree check and the bad set
-    f = arith.factorize(2 * s.a * s.d, budget)
-    if any(s.a % (p * p) == 0 for p in f.factors):
-        raise ValueError(f"a = {s.a} is not squarefree")
+    f = arith.factorize(2 * a * s.d, budget)
+    if any(a % (p * p) == 0 for p in f.factors):
+        raise ValueError(f"a = {a} is not squarefree")
     if not f.is_complete:
         raise BudgetExhausted(f"factoring budget exhausted on cofactor {f.unfactored_cofactor}")
-
-    a, u, v = s.a, s.u, s.v
-    sqrt_a = QuadElement(a, 0, 1)
-    plus = QuadElement(a, v, u * u)  # v + u^2*sqrt(a)
-    minus = QuadElement(a, v, -(u * u))  # v - u^2*sqrt(a)
-    a2_coeff = 4 * u * sqrt_a
-    a4_coeff = 2 * sqrt_a * plus
-    # nonzero: v = +-u^2*sqrt(a) would make v^2 - a*u^4 = 0 < d*w^(4*ell)
-    delta = -512 * a * sqrt_a * plus * plus * minus
-    # sign convention follows the standard c4 = b2^2 - 24 b4, which expands
-    # here to 160*a*u^2 - 96*v*sqrt(a)
-    c4 = 32 * sqrt_a * (5 * u * u * sqrt_a - 3 * v)
     return FreyCurve(
         solution=s,
-        a2_coeff=a2_coeff,
-        a4_coeff=a4_coeff,
-        delta=delta,
-        c4=c4,
+        a2_coeff=QuadElement(a, 0, 4 * u),
+        a4_coeff=QuadElement(a, 2 * a * u * u, 2 * v),
+        # -512*a*n*(a*u^2 + v*sqrt(a)), nonzero as n = d*w^(4*ell) >= 1
+        delta=QuadElement(a, -512 * a * n * (a * u * u), -512 * a * n * v),
+        # the standard c4 = b2^2 - 24*b4
+        c4=QuadElement(a, 160 * a * u * u, -96 * v),
         bad_primes=frozenset(f.factors),
     )
 
 
-def _require_good_prime(F: FreyCurve, P: QuadPrime) -> None:
+def _delta_valuation(F: FreyCurve, P: QuadPrime) -> int:
+    """v_P(delta) = 2*v_P(v + u^2*sqrt(a)) + v_P(v - u^2*sqrt(a)) outside the bad set."""
     if P.a != F.field_label:
         raise ValueError("prime and curve live in different fields")
     if P.p in F.bad_primes:
         raise ValueError(f"p = {P.p} is in the bad set {sorted(F.bad_primes)}")
+    s = F.solution
+    plus = QuadElement(s.a, s.v, s.u * s.u)
+    minus = QuadElement(s.a, s.v, -(s.u * s.u))
+    return 2 * prime_valuation(plus, P) + prime_valuation(minus, P)
 
 
 def classify_reduction(F: FreyCurve, P: QuadPrime) -> Reduction:
@@ -124,8 +120,7 @@ def classify_reduction(F: FreyCurve, P: QuadPrime) -> Reduction:
     v_P(delta) > 0 together with v_P(c4) > 0 would mean additive reduction
     and is reported as a fault.
     """
-    _require_good_prime(F, P)
-    if prime_valuation(F.delta, P) == 0:
+    if _delta_valuation(F, P) == 0:
         return Reduction.GOOD
     if prime_valuation(F.c4, P) != 0:
         raise ArithmeticError(
@@ -135,14 +130,6 @@ def classify_reduction(F: FreyCurve, P: QuadPrime) -> Reduction:
 
 
 def exponent_divisibility(F: FreyCurve, P: QuadPrime) -> tuple[int, bool]:
-    """(v_P(delta), ell | v_P(delta)) at a prime outside the bad set.
-
-    The valuation is computed from the factor supported outside the bad
-    set: v_P(delta) = 2*v_P(v + u^2*sqrt(a)) + v_P(v - u^2*sqrt(a)).
-    """
-    _require_good_prime(F, P)
-    s = F.solution
-    plus = QuadElement(s.a, s.v, s.u * s.u)
-    minus = QuadElement(s.a, s.v, -(s.u * s.u))
-    val = 2 * prime_valuation(plus, P) + prime_valuation(minus, P)
-    return val, val % s.ell == 0
+    """(v_P(delta), ell | v_P(delta)) at a prime outside the bad set."""
+    val = _delta_valuation(F, P)
+    return val, val % F.solution.ell == 0

@@ -113,6 +113,16 @@ def _least_primitive(B: int, B_prev: int, T: set[int], budget: Budget) -> tuple[
     return min((p for p in found if p not in T and B_prev % p), default=None), cofactor == 1
 
 
+def _check_index_search(B1: int, q: int, search_cap: int) -> None:
+    """The checks on q and search_cap that find_k_p0 makes before it walks any index."""
+    if q < 2 or not arith.is_probable_prime(q):
+        raise ValueError(f"q = {q} is not prime")
+    if search_cap < q:
+        raise ValueError(f"search_cap = {search_cap} is below q = {q}; no index to try")
+    if B1 % q != 0:
+        raise HypothesisError(f"q = {q} does not divide B_1 = {B1}")
+
+
 def find_k_p0(
     s: Sequence,
     q: int,
@@ -131,17 +141,15 @@ def find_k_p0(
     passes this test is p0.  incomplete lists the indices, passed or
     stopped at, whose factoring the budget cut short; when it is empty the
     pair is proven least, otherwise a smaller k or p0 may exist.
-    Exhaustion raises BudgetExhausted with the progress made.
+    A search_cap below q is a ValueError; exhaustion raises
+    BudgetExhausted with the progress made.
     """
     if not s.terms:
         raise ValueError("sequence has no terms")
     B1 = s.terms[0].B
     if B1 == 1:
         raise HypothesisError("generator is integral (B_1 = 1); a divisor q | B_1 is required")
-    if q < 2 or not arith.is_probable_prime(q):
-        raise ValueError(f"q = {q} is not prime")
-    if B1 % q != 0:
-        raise HypothesisError(f"q = {q} does not divide B_1 = {B1}")
+    _check_index_search(B1, q, search_cap)
     v1 = arith.valuation(B1, q)
     f = net(s.curve, s.generator)
     tried = []
@@ -162,7 +170,7 @@ def find_k_p0(
         for idx in tried
     )
     raise BudgetExhausted(
-        f"no primitive divisor outside T at indices up to {search_cap}; tried {detail or 'nothing'}"
+        f"no primitive divisor outside T at indices up to {search_cap}; tried {detail}"
     )
 
 
@@ -273,6 +281,8 @@ def build_report(
     B1 = s.terms[0].B
     if B1 == 1:
         raise HypothesisError("generator is integral (B_1 = 1); the bound needs B_1 > 1")
+    # before 2b is factored, so a usage slip is not reported as an exhausted budget
+    _check_index_search(B1, q, search_cap)
 
     T = frey.bad_set(1, b, budget)
     k, p0, incomplete = find_k_p0(s, q, T, search_cap, budget)

@@ -1,11 +1,14 @@
-"""Arithmetic in K = Q(sqrt(a)) for squarefree a >= 1.
+"""The field K = Q(sqrt(a)) for squarefree a >= 1: elements and primes.
 
-Elements are the integers x + y*sqrt(a) of Z[sqrt(a)].  When a = 1 the
-field collapses to Q and y is folded into x on construction.
+An element x + y*sqrt(a) of Z[sqrt(a)] is a value with integer
+coordinates; the package builds its elements from closed forms and does
+no arithmetic on them.  When a = 1 the field collapses to Q and y is
+folded into x on construction.  prime_valuation reads v_P(z) at a prime
+P over an odd rational prime from the coordinates and the norm.
 
-primes_above and splitting_type check a label squarefree by factoring it
-under the default budget; labels the package builds from primes it has
-already found go to _primes_above unchecked.
+primes_above checks a label squarefree by factoring it under the default
+budget; labels the package builds from primes it has already found go to
+_primes_above unchecked.
 """
 from __future__ import annotations
 
@@ -40,71 +43,9 @@ class QuadElement:
             object.__setattr__(self, "x", self.x + self.y)
             object.__setattr__(self, "y", 0)
 
-    def norm(self) -> int:
-        return self.x * self.x - self.a * self.y * self.y
-
-    def conjugate(self) -> "QuadElement":
-        return QuadElement(self.a, self.x, -self.y)
-
     @property
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
-
-    def _coerce(self, other):
-        if isinstance(other, QuadElement):
-            if other.a != self.a:
-                raise ValueError("elements live in different fields")
-            return other
-        if isinstance(other, int):
-            return QuadElement(self.a, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElement(self.a, self.x + o.x, self.y + o.y)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadElement(self.a, -self.x, -self.y)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElement(self.a, self.x - o.x, self.y - o.y)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElement(
-            self.a,
-            self.x * o.x + self.a * self.y * o.y,
-            self.x * o.y + self.y * o.x,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = QuadElement(self.a, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __str__(self):
         if self.y == 0:
@@ -185,11 +126,6 @@ def primes_above(a: int, p: int) -> list[QuadPrime]:
     if p < 2 or not arith.is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     return _primes_above(a, p)
-
-
-def splitting_type(a: int, p: int) -> SplitType:
-    """How the rational prime p behaves in Q(sqrt(a)); split for a = 1."""
-    return primes_above(a, p)[0].kind
 
 
 def prime_valuation(z: QuadElement, P: QuadPrime) -> int:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+import pytest
+
 from edspower import (
     DEFAULT_BUDGET,
     INFINITY,
@@ -190,7 +192,7 @@ def prime_valuation_oracle(z, P) -> int:
     root Hensel-lifted until the valuation resolves below the precision;
     the conjugate valuations are checked to sum to v_p(norm).
     """
-    n = z.norm()
+    n = z.x * z.x - z.a * z.y * z.y
     v_norm = valuation(n, P.p)
     if P.kind is SplitType.INERT:
         if v_norm % 2 != 0:
@@ -218,11 +220,19 @@ def prime_valuation_oracle(z, P) -> int:
         return v_here
 
 
+def qmul(a: int, *factors: tuple[int, int]) -> QuadElement:
+    """The product of the elements x + y*sqrt(a) given as (x, y) pairs."""
+    x, y = 1, 0
+    for fx, fy in factors:
+        x, y = x * fx + a * y * fy, x * fy + y * fx
+    return QuadElement(a, x, y)
+
+
 def weierstrass_invariants(a1, a2, a3, a4, a6):
     """(discriminant, c4) of a long Weierstrass model by the standard formulas.
 
     Works over any commutative ring whose elements support +, -, * and
-    multiplication by ints: used with quadratic-field elements by
+    multiplication by ints: used with sympy expressions in sqrt(a) by
     invariants_oracle and with plain integers in the tests.
     """
     b2 = a1 * a1 + 4 * a2
@@ -234,14 +244,19 @@ def weierstrass_invariants(a1, a2, a3, a4, a6):
     return disc, c4
 
 
-def invariants_oracle(F):
-    """(delta, c4) recomputed from the Weierstrass coefficients.
+def invariants_oracle(F) -> None:
+    """Check F's coefficients, delta and c4 against sympy over sqrt(a).
 
-    Uses the generic invariant formulas, not the closed forms; a mismatch
-    with the stored values raises ArithmeticError.
+    The coefficients are built from F.solution as 4u*sqrt(a) and
+    2*sqrt(a)*(v + u^2*sqrt(a)) and fed to the generic invariant formulas;
+    none of F's stored values enters.  Raises ArithmeticError when any
+    stored x + y*sqrt(a) differs from its expansion.
     """
-    zero = QuadElement(F.field_label, 0)
-    disc, c4 = weierstrass_invariants(zero, F.a2_coeff, zero, F.a4_coeff, zero)
-    if disc != F.delta or c4 != F.c4:
-        raise ArithmeticError("generic invariants disagree with the closed forms")
-    return disc, c4
+    sympy = pytest.importorskip("sympy")
+    s = F.solution
+    r = sympy.sqrt(s.a)
+    a2, a4 = 4 * s.u * r, 2 * r * (s.v + s.u**2 * r)
+    disc, c4 = weierstrass_invariants(0, a2, 0, a4, 0)
+    for want, z in ((a2, F.a2_coeff), (a4, F.a4_coeff), (disc, F.delta), (c4, F.c4)):
+        if sympy.expand(want - z.x - z.y * r) != 0:
+            raise ArithmeticError(f"the generic formulas disagree with the stored {z}")

@@ -140,10 +140,7 @@ def test_invariant_closed_forms_match_generic():
     solutions = _random_quartic_solutions(101, 80) + _planted_power_solutions(102, 20)
     assert len(solutions) >= 100
     for sol in solutions:
-        F = construct(sol, Budget(rho_iterations=2_000_000))
-        disc, c4 = invariants_oracle(F)  # raises on any mismatch
-        assert disc == F.delta
-        assert c4 == F.c4
+        invariants_oracle(construct(sol, Budget(rho_iterations=2_000_000)))  # raises on any mismatch
 
 
 def test_discriminant_factor_valuation_identity():

@@ -275,6 +275,14 @@ GOLDEN = [
      0, "", "fa478b1bde222a3c8f621eb04b077381a4cd817e508540861e2e2dcab0ee4b32"),
     ("frey --a 5 --d 1 --u 11834 --v 498029769 --w 19679 --ell 1 --prime 11",
      0, "", "80967eb7181fc1b5062cd4f087828ae822b2d5b42efacaf516a1b30dafbde7e3"),
+    # in Q(sqrt(5)), 7 is inert (good reduction) and 1789 splits (multiplicative, delta valuations 8, 4)
+    ("frey --a 5 --d 1 --u 11834 --v 498029769 --w 19679 --ell 1 --prime 7",
+     0, "", "2d3e32a5b6821531ef7d85b87dd0244b74ae97813488d53af17e411117b5c7c3"),
+    ("frey --a 5 --d 1 --u 11834 --v 498029769 --w 19679 --ell 1 --prime 1789 --table",
+     0, "", "1339e87046d696cd8a10733c5b6d57fa0421da82d6c53c09f8d9e92a917df388"),
+    # a = 1: sqrt(a) folds into the rational part
+    ("frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1 --prime 3 --table",
+     0, "", "813b2e2bf9267a6fea596da0c5cf062815acdf8bfb6ebd15e9ea02b0621b2126"),
     ("frey --a 1 --d 5 --u 1 --v 2 --w 1 --ell 1",
      2, "error: v^2 - a*u^4 = d*w^(4*ell) fails\n", NO_OUTPUT),
     ("frey --a 1000036000099 --d 225 --u 1 --v 1000018 --w 1 --ell 1 --trial-bound 10 --rho-iterations 0",
@@ -288,9 +296,9 @@ GOLDEN = [
     ("ledger --b 5 --point {2P} --q 2 --c-config 100 --eigen-table {eigen}",
      0, "", "b5d1a60818f32c788002c2f295305bdf8da5e8c48e6d0bc2d24137cb61de85a5"),
     ("ledger --b 5 --point {2P} --q 3 --c-config 100 --search-cap 2",
-     4, "error: no primitive divisor outside T at indices up to 2; tried nothing\n", NO_OUTPUT),
+     2, "error: search_cap = 2 is below q = 3; no index to try\n", NO_OUTPUT),
     ("ledger --b 5 --point {2P} --q 3 --c-config 100 --search-cap 0",
-     2, "error: --search-cap must be positive\n", NO_OUTPUT),
+     2, "error: search_cap = 0 is below q = 3; no index to try\n", NO_OUTPUT),
     ("ledger --b 5 --point {2P} --q 3 --c-config 100 --trial-bound 10 --rho-iterations 0",
      4, "error: no primitive divisor outside T at indices up to 64; tried index 3 (factoring "
         "incomplete), index 9 (factoring incomplete), index 27 (factoring incomplete)\n", NO_OUTPUT),
@@ -308,6 +316,9 @@ GOLDEN = [
     ("ledger --b 19342813116668607771809189 --point 1/4,17592186045705/8 --q 2 --c-config 1 "
      "--rho-iterations 20000000",
      0, "", "bcb20637fd08b9b1a6d4a94a87d9d341fed75100478a2d647407d2730b5473ce"),
+    ("ledger --b 19342813116668607771809189 --point 1/4,17592186045705/8 --q 2 --c-config 1 "
+     "--search-cap 0",
+     2, "error: search_cap = 0 is below q = 2; no index to try\n", NO_OUTPUT),
     ("frey --a 19342813116668607771809189 --d 6597069767140 --u 1 --v 4398046511427 --w 1 --ell 1 "
      "--rho-iterations 20000000 --prime 3",
      0, "", "cfb1634fb153a7286c9e674d14ab3ed6f4c51f406b19ca85a663038e437909fd"),

@@ -85,6 +85,10 @@ def test_find_k_p0_matches_factoring_oracle(doubled_seq):
     for b, Q, q in _sweep_cases(7, 60):
         s = generate(make_curve_xb(b), Q, 1)
         T = bad_set(1, b)
+        if q > 16:
+            with pytest.raises(ValueError, match="no index to try"):
+                find_k_p0(s, q, T, 16, budget)
+            continue
         try:
             k, p0, incomplete = find_k_p0(s, q, T, 16, budget)
         except BudgetExhausted:
@@ -96,8 +100,6 @@ def test_find_k_p0_matches_factoring_oracle(doubled_seq):
 
 
 def test_find_k_p0_validation(base_curve, base_point, doubled_seq):
-    from edspower import generate
-
     with pytest.raises(HypothesisError):
         find_k_p0(doubled_seq, 7, {2, 5})  # 7 does not divide B_1 = 36
     with pytest.raises(ValueError):
@@ -108,7 +110,11 @@ def test_find_k_p0_validation(base_curve, base_point, doubled_seq):
 
 
 def test_find_k_p0_search_cap_exhausted(doubled_seq):
-    with pytest.raises(BudgetExhausted):
+    # every primitive prime of B_2 lies in T, and the cap stops the walk there
+    with pytest.raises(BudgetExhausted, match=r"up to 2; tried index 2 \(fully factored\)$"):
+        find_k_p0(doubled_seq, 2, {2, 3, 5, 7, 79, 983}, search_cap=2)
+    # a cap below q leaves no index to try: a usage slip, not an exhaustion
+    with pytest.raises(ValueError, match="search_cap = 1 is below q = 2; no index to try"):
         find_k_p0(doubled_seq, 2, {2, 5}, search_cap=1)
 
 
@@ -280,6 +286,10 @@ def test_build_report_pair_matches_generating_oracle():
     for b, Q, q in _sweep_cases(11, 20):
         c = make_curve_xb(b)
         s = generate(c, Q, 1)
+        if q > 16:
+            with pytest.raises(ValueError, match="no index to try"):
+                build_report(c, Q, q, 100, budget, 16)
+            continue
         try:
             r = build_report(c, Q, q, 100, budget, 16)
         except BudgetExhausted:
@@ -331,8 +341,6 @@ def test_build_report_rejections(base_curve, base_point):
         build_report(base_curve, base_point, 2, 100)  # integral, B_1 = 1
     with pytest.raises(ValueError):
         build_report(base_curve, Point(3, 7), 2, 100)  # not on the curve
-    from edspower import mul
-
     twoP = mul(base_curve, 2, base_point)
     with pytest.raises(ValueError):
         build_report(base_curve, twoP, 2, 0)  # c_config must be positive
@@ -343,8 +351,6 @@ def test_build_report_rejections(base_curve, base_point):
 def test_build_report_on_second_curve():
     # b = 8: (1, 3) is integral, its double (49/36, -791/216) has B_1 = 6
     c = make_curve_xb(8)
-    from edspower import mul
-
     twoP = mul(c, 2, Point(1, 3))
     assert twoP.x.denominator == 36
     r = build_report(c, twoP, 2, 1)

@@ -8,36 +8,17 @@ from edspower import (
     SplitType,
     prime_valuation,
     primes_above,
-    splitting_type,
+    valuation,
 )
 from edspower.quadfield import _sqrt_mod_p
 
-from helpers import is_prime_oracle, prime_valuation_oracle
-
-
-def test_element_arithmetic():
-    r5 = QuadElement(5, 0, 1)
-    z = (1 + r5) * (1 + r5)
-    assert z == QuadElement(5, 6, 2)
-    assert (3 + 2 * r5) - (1 + r5) == QuadElement(5, 2, 1)
-    assert -QuadElement(5, 2, -3) == QuadElement(5, -2, 3)
-    assert r5 * r5 == QuadElement(5, 5, 0)
-    assert QuadElement(5, 2, 3) ** 0 == QuadElement(5, 1, 0)
-    assert QuadElement(5, 2, 3) ** 3 == QuadElement(5, 2, 3) * QuadElement(5, 2, 3) * QuadElement(5, 2, 3)
-
-
-def test_norm_and_conjugate():
-    z = QuadElement(5, 3, 2)
-    assert z.norm() == 9 - 5 * 4
-    assert z.conjugate() == QuadElement(5, 3, -2)
-    assert z * z.conjugate() == QuadElement(5, z.norm(), 0)
-    assert QuadElement(5, 0, 1).norm() == -5
+from helpers import is_prime_oracle, prime_valuation_oracle, qmul
 
 
 def test_rational_field_folds():
     z = QuadElement(1, 2, 3)
     assert (z.x, z.y) == (5, 0)
-    assert z.norm() == 25
+    assert z.x * z.x - z.a * z.y * z.y == 25
     assert QuadElement(1, 0, 1) == QuadElement(1, 1, 0)
 
 
@@ -55,22 +36,22 @@ def test_integrality_and_zero():
 
 def test_field_label_must_be_squarefree():
     with pytest.raises(ValueError):
-        splitting_type(12, 7)
+        primes_above(12, 7)[0].kind
     with pytest.raises(ValueError):
         primes_above(4, 7)
 
 
 def test_splitting_types():
-    assert splitting_type(5, 11) == SplitType.SPLIT  # 4^2 = 16 = 5 mod 11
-    assert splitting_type(5, 7) == SplitType.INERT
-    assert splitting_type(5, 5) == SplitType.RAMIFIED
-    assert splitting_type(5, 2) == SplitType.INERT  # 5 = 5 mod 8
-    assert splitting_type(17, 2) == SplitType.SPLIT  # 17 = 1 mod 8
-    assert splitting_type(3, 2) == SplitType.RAMIFIED  # 3 mod 4
-    assert splitting_type(6, 2) == SplitType.RAMIFIED  # even
-    assert splitting_type(6, 3) == SplitType.RAMIFIED
-    assert splitting_type(1, 11) == SplitType.SPLIT
-    assert splitting_type(1, 2) == SplitType.SPLIT
+    assert primes_above(5, 11)[0].kind == SplitType.SPLIT  # 4^2 = 16 = 5 mod 11
+    assert primes_above(5, 7)[0].kind == SplitType.INERT
+    assert primes_above(5, 5)[0].kind == SplitType.RAMIFIED
+    assert primes_above(5, 2)[0].kind == SplitType.INERT  # 5 = 5 mod 8
+    assert primes_above(17, 2)[0].kind == SplitType.SPLIT  # 17 = 1 mod 8
+    assert primes_above(3, 2)[0].kind == SplitType.RAMIFIED  # 3 mod 4
+    assert primes_above(6, 2)[0].kind == SplitType.RAMIFIED  # even
+    assert primes_above(6, 3)[0].kind == SplitType.RAMIFIED
+    assert primes_above(1, 11)[0].kind == SplitType.SPLIT
+    assert primes_above(1, 2)[0].kind == SplitType.SPLIT
 
 
 def test_splitting_matches_euler_criterion():
@@ -78,7 +59,7 @@ def test_splitting_matches_euler_criterion():
     primes = [p for p in range(3, 300) if is_prime_oracle(p)]
     for a in (2, 3, 5, 7, 10, 13, 15, 21):
         for p in primes:
-            kind = splitting_type(a, p)
+            kind = primes_above(a, p)[0].kind
             if a % p == 0:
                 assert kind == SplitType.RAMIFIED
             elif pow(a, (p - 1) // 2, p) == 1:
@@ -135,14 +116,13 @@ def test_prime_valuation_inert():
     assert prime_valuation(QuadElement(5, 2, 1), P) == 0  # norm -1
     z = QuadElement(5, 7, 7)  # norm 49 * (1 - 5)
     assert prime_valuation(z, P) == 1
-    assert prime_valuation(z * z, P) == 2
+    assert prime_valuation(qmul(5, (7, 7), (7, 7)), P) == 2
 
 
 def test_prime_valuation_powers_and_rational_integers():
     P7 = next(P for P in primes_above(5, 11) if P.root == 7)
-    z = QuadElement(5, 4, 1)
     for e in range(1, 6):
-        assert prime_valuation(z**e, P7) == e
+        assert prime_valuation(qmul(5, *[(4, 1)] * e), P7) == e
     # rational integer: both conjugate valuations equal the p-adic one
     eleven = QuadElement(5, 11**3, 0)
     for P in primes_above(5, 11):
@@ -159,14 +139,13 @@ def test_prime_valuation_sums_to_norm_valuation():
         if z.is_zero:
             continue
         for p in (7, 11, 13, 17, 19, 23):
-            kind = splitting_type(a, p)
+            Ps = primes_above(a, p)
+            kind = Ps[0].kind
             if kind == SplitType.RAMIFIED:
                 continue
-            n = z.norm()
-            from edspower import valuation
-
+            n = x * x - a * y * y
             vn = valuation(n, p) if n % p == 0 else 0
-            vals = [prime_valuation(z, P) for P in primes_above(a, p)]
+            vals = [prime_valuation(z, P) for P in Ps]
             if kind == SplitType.SPLIT:
                 assert sum(vals) == vn
             else:
@@ -187,12 +166,12 @@ def test_prime_valuation_matches_lifting_oracle():
                 r = P.root if P.root is not None else rng.randrange(1, p)
                 if a == 1:
                     r = p - 1  # the other root of 1, so that r - sqrt(1) is not 0
-                plus, minus = QuadElement(a, r, 1), QuadElement(a, r, -1)
                 for _ in range(21):
                     z = QuadElement(a, rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
                     if z.is_zero:
                         continue
-                    z = z * plus ** rng.randrange(4) * minus ** rng.randrange(4) * p ** rng.randrange(3)
+                    z = qmul(a, (z.x, z.y), *[(r, 1)] * rng.randrange(4), *[(r, -1)] * rng.randrange(4),
+                             (p ** rng.randrange(3), 0))
                     v = prime_valuation(z, P)
                     assert v == prime_valuation_oracle(z, P), (z, P)
                     pairs += 1
