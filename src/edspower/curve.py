@@ -3,9 +3,10 @@
 Every curve of the package belongs to this one family.  Its discriminant
 -64b^3 never vanishes, so every member is nonsingular.  Points carry exact
 Fraction coordinates.  The multiples nP of a non-torsion point come from
-one integer recurrence, the elliptic net of P, reduced by one gcd per
-multiple; there is no chord-tangent group law here.  No floating point
-anywhere: the sequences downstream need bit-exact denominators.
+one integer recurrence, the elliptic net of P, reduced over the primes of
+2b only (Ayad 1992); there is no chord-tangent group law here.  No
+floating point anywhere: the sequences downstream need bit-exact
+denominators.
 """
 from __future__ import annotations
 
@@ -70,8 +71,13 @@ def net(c: Curve, P: Point) -> Callable[[int], tuple[int, int, int]]:
     P must be a non-torsion point of c (so not O).  With P = (A/B^2, C/B^3)
     the net W_n = B^(n^2-1) psi_n(P) is an integer sequence (Ward 1948;
     Stange 2007, "Elliptic nets"), and
-        x(nP) = (A W_n^2 - W_{n-1} W_{n+1}) / (B W_n)^2, reduced by one gcd,
+        x(nP) = (A W_n^2 - W_{n-1} W_{n+1}) / (B W_n)^2,
         y(nP) = (W_{n+2} W_{n-1}^2 - W_{n-2} W_{n+1}^2) / (2 W_2 (B W_n)^3).
+    A prime at which P is non-singular divides no common factor of the
+    numerator and denominator of x(nP) (Ayad 1992, "Points S-entiers des
+    courbes elliptiques"), and the singular primes divide the discriminant
+    -64b^3.  So x(nP) is reduced by gcds with 2b alone, never by a gcd of
+    two numbers of twice the bits of B_n.
     Where P is singular mod p, W_n carries p^(g n^2 - r(n)) beyond B_n, with
     r periodic in n (local heights): at some generators more bits than B_n
     itself.  The reduction there is additive, so 5P lies on the component of
@@ -85,13 +91,13 @@ def net(c: Curve, P: Point) -> Callable[[int], tuple[int, int, int]]:
         raise HypothesisError("generator is a torsion point")
     # a rational point of the curve has x = A/B^2, y = C/B^3 in lowest terms
     A, B, C = P.x.numerator, isqrt(P.x.denominator), P.y.numerator
-    A2, u = A * A, c.b * B**4
+    A2, u, D = A * A, c.b * B**4, 2 * c.b
     W = {-1: -1, 0: 0, 1: 1, 2: 2 * C, 3: 3 * A2 * A2 + 6 * u * A2 - u * u,
          4: 4 * C * (A2**3 + 5 * u * A2 * A2 - 5 * u * u * A2 - u**3)}
-    H = B * abs(_w(W, 1, 5)) // _multiple(W, 1, A, B, 5)[1]
+    H = B * abs(_w(W, 1, 5)) // _multiple(W, 1, A, B, D, 5)[1]
     for n in (5, 6, 7):  # finding H left W_5 .. W_7 unscaled in the memo
         W[n] = _quotient(H, 0, W[n], 0, 0, _t(n))
-    return functools.partial(_multiple, W, H, A, B)
+    return functools.partial(_multiple, W, H, A, B, D)
 
 
 def _t(n: int) -> int:
@@ -127,20 +133,24 @@ def _w(W: dict[int, int], H: int, n: int) -> int:
     return v
 
 
-def _multiple(W: dict[int, int], H: int, A: int, B: int, n: int) -> tuple[int, int, int]:
+def _multiple(W: dict[int, int], H: int, A: int, B: int, D: int, n: int) -> tuple[int, int, int]:
     """(A_n, B_n, C_n) from the window V_{n-2} .. V_{n+2}."""
     wm2, wm1, w, wp1, wp2 = (_w(W, H, i) for i in range(n - 2, n + 3))
     t = _t
     e = t(n - 1) + t(n + 1) - 2 * t(n)
     k = max(0, 1 - e) // 2  # x = num / den^2 with no negative power of H
-    num, den = A * w * w * H ** (2 * k) - wm1 * wp1 * H ** (e + 2 * k), B * w * H**k
-    g = gcd(num, den * den)
+    ww, Hk = w * w, H**k
+    num, den2 = A * Hk * Hk * ww - wm1 * wp1 * H ** (e + 2 * k), (B * Hk) ** 2 * ww
+    # gcd(num, den2) divides a power of 2b: strip it one small gcd at a time
+    g = 1
+    while (r := gcd(num % D, den2 % D, D)) > 1:
+        num, den2, g = num // r, den2 // r, g * r
     s = isqrt(g)
     if s * s != g:
         raise ArithmeticError(f"x-denominator of {n}P is not a perfect square")
     Cn = _quotient(H, t(n + 2) + 2 * t(n - 1) + 3 * k, wp2 * wm1 * wm1,
                    t(n - 2) + 2 * t(n + 1) + 3 * k, wm2 * wp1 * wp1, 3 * t(n), 2 * W[2] * s**3)
-    return num // g, abs(den) // s, Cn if w > 0 else -Cn
+    return num, B * Hk * abs(w) // s, Cn if w > 0 else -Cn
 
 
 def mul(c: Curve, n: int, P: Point) -> Point:

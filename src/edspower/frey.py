@@ -59,7 +59,7 @@ def bad_set(a: int, d: int, budget: Budget = DEFAULT_BUDGET) -> set[int]:
     """The rational primes dividing 2*a*d."""
     f = arith.factorize(2 * a * d, budget)
     if not f.is_complete:
-        raise BudgetExhausted(f"could not fully factor 2ad = {2 * a * d}")
+        raise BudgetExhausted(f"could not fully factor {2 * a * d}")
     return set(f.factors)
 
 

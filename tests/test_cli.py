@@ -319,6 +319,13 @@ GOLDEN = [
     ("ledger --b 19342813116668607771809189 --point 1/4,17592186045705/8 --q 2 --c-config 1 "
      "--search-cap 0",
      2, "error: search_cap = 0 is below q = 2; no index to try\n", NO_OUTPUT),
+    # the budget error names the number the command factored, 2b
+    ("ledger --b 19342813116668607771809189 --point 1/4,17592186045705/8 --q 2 --c-config 1 "
+     "--rho-iterations 0",
+     4, "error: could not fully factor 38685626233337215543618378\n", NO_OUTPUT),
+    ("descend --b 19342813116668607771809189 --point 1/4,17592186045705/8 --m 2 --ell 1 "
+     "--rho-iterations 0",
+     4, "error: could not fully factor 38685626233337215543618378\n", NO_OUTPUT),
     ("frey --a 19342813116668607771809189 --d 6597069767140 --u 1 --v 4398046511427 --w 1 --ell 1 "
      "--rho-iterations 20000000 --prime 3",
      0, "", "cfb1634fb153a7286c9e674d14ab3ed6f4c51f406b19ca85a663038e437909fd"),

@@ -1,7 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -16,6 +16,7 @@ from edspower import (
     mul,
     on_curve,
 )
+from edspower import curve
 from edspower.curve import net
 
 from helpers import add, multiples_oracle, neg, torsion_oracle, weierstrass_invariants
@@ -183,16 +184,37 @@ def test_net_matches_group_law_oracle():
 
 def test_net_sheds_the_excess_of_singular_reduction():
     # generators singular mod 2, 3, 5 or 7, among them non-minimal models at 2
-    # (b = 80) and a point on a component of order 4 (b = 196): terms 1..40
-    # against the oracle, and every memoised net value within a few words of
-    # B_n (unscaled, W_40 of (100, (20, 100)) carries about 2,600 bits more)
-    for b, x, y in [(100, 20, 100), (196, 98, 980), (80, 80, 720), (18, 6, 18), (15, 15, 60), (5, 20, 90)]:
+    # (b = 80) and a point on a component of order 4 (b = 196), and the edges
+    # of the reduction by gcds with D = 2b: a modulus of two limbs (2b > 2^64),
+    # a deep power of 2 (b = 128, H = 2^42) and an odd b with a single 2 in D:
+    # terms 1..40 against the oracle, and every memoised net value within a few
+    # words of B_n (unscaled, W_40 of (100, (20, 100)) carries about 2,600 bits more)
+    assert net(make_curve_xb(128), Point(32, 192)).args[1] == 2**42
+    for b, x, y in [(100, 20, 100), (196, 98, 980), (80, 80, 720), (18, 6, 18), (15, 15, 60), (5, 20, 90),
+                    (19342813116668607771809189, Fraction(1, 4), Fraction(17592186045705, 8)),
+                    (128, 32, 192), (163, 81, 738)]:
         c, P = make_curve_xb(b), Point(x, y)
         f = net(c, P)
         terms = [f(n) for n in range(1, 41)]
         assert terms == multiples_oracle(c, P, 40), (b, x, y)
         memo = f.args[0]
         assert all(memo[n].bit_length() <= terms[n - 1][1].bit_length() + 64 for n in range(1, 41)), (b, x, y)
+
+
+def test_net_takes_no_gcd_of_two_big_numbers(monkeypatch):
+    # the common factor of x(nP) is stripped by gcds with 2b, never by a
+    # gcd of two numbers of about the bits of B_n
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(curve, "gcd", spy)
+    s = generate(make_curve_xb(5), Point(20, 90), 60)
+    assert s.terms[-1].B.bit_length() > 5000 and calls
+    assert not [a for a in calls if sum(x.bit_length() > 1000 for x in a) >= 2]
+
 
 def test_mul_rejects_torsion_and_infinity():
     with pytest.raises(HypothesisError):

@@ -123,8 +123,9 @@ def test_bad_set():
     assert bad_set(1, 5) == {2, 5}
     assert bad_set(5, 1) == {2, 5}
     assert bad_set(3, 14) == {2, 3, 7}
-    with pytest.raises(BudgetExhausted):
-        bad_set(1, 99999989 * 99999971, Budget(trial_bound=50, rho_iterations=4))
+    n, budget = 99999989 * 99999971, Budget(trial_bound=50, rho_iterations=4)
+    with pytest.raises(BudgetExhausted, match=f"could not fully factor {2 * n}$"):
+        bad_set(1, n, budget)
 
 
 def test_reduction_classification():
