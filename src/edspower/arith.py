@@ -63,12 +63,6 @@ class Factorization:
     def is_complete(self) -> bool:
         return self.unfactored_cofactor == 1
 
-    def magnitude(self) -> int:
-        out = self.unfactored_cofactor
-        for p, e in self.factors.items():
-            out *= p**e
-        return out
-
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
@@ -104,16 +98,26 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _small_primes_upto(limit: int) -> list[int]:
-    """Primes <= limit by a plain sieve (limit stays small here)."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return list(compress(range(limit + 1), sieve))
+_sieved: tuple[int, list[int]] = (1, [])  # (bound, the primes <= bound): one tuple, never a torn pair
+
+
+def _primes_through(limit: int) -> list[int]:
+    """Every prime <= limit and maybe more, from a list kept between calls.
+
+    A limit past the bound re-sieves the list by a plain sieve, up to twice
+    the bound or to the limit if larger (limits stay small here).
+    """
+    global _sieved
+    bound = _sieved[0]
+    if limit > bound:
+        bound = max(limit, 2 * bound)
+        sieve = bytearray([1]) * (bound + 1)
+        sieve[0] = sieve[1] = 0
+        for p in range(2, isqrt(bound) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+        _sieved = bound, list(compress(range(bound + 1), sieve))
+    return _sieved[1]
 
 
 def trial_factors(m: int, bound: int):
@@ -230,10 +234,7 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
     if rest > 1:
         found, cofactor = rho_factors(rest, budget)
         factors.update(found)
-    result = Factorization(factors, cofactor)
-    if result.magnitude() != abs(n):
-        raise ArithmeticError("factorization does not reassemble to |n|")
-    return result
+    return Factorization(factors, cofactor)
 
 
 def valuation(n: int, p: int) -> int:
@@ -323,14 +324,14 @@ def perfect_power(n: int) -> tuple[int, int] | None:
     of them out first: if some prime r = 1 (mod q), r not dividing n, has
     n^((r-1)/q) != 1 (mod r), n is no q-th power.  exact_root remains the
     arbiter: it runs on every q the witnesses leave standing, so the answer
-    is exact.  A root of n is a q-th power only if n is, so the primes are
-    sieved once and walked once.  The returned base is itself not a perfect
-    power and the exponent is the largest possible.
+    is exact.  A root of n is a q-th power only if n is, so the primes, from
+    a list kept between calls, are walked once.  The returned base is itself
+    not a perfect power and the exponent is the largest possible.
     """
     if n <= 1:
         raise ValueError("perfect_power requires n > 1")
     base, exp = n, 1
-    for q in _small_primes_upto(n.bit_length()):
+    for q in _primes_through(n.bit_length()):
         if q > base.bit_length():
             break
         while not _not_a_power(base, q) and (r := exact_root(base, q)) is not None:

@@ -3,7 +3,8 @@
 Every curve of the package belongs to this one family.  Its discriminant
 -64b^3 never vanishes, so every member is nonsingular.  Points carry exact
 Fraction coordinates.  The multiples nP of a non-torsion point come from
-one integer recurrence, the elliptic net of P, reduced over the primes of
+one integer recurrence, the elliptic net of P, with y(nP) read off squares
+shared between neighbouring windows and x(nP) reduced over the primes of
 2b only (Ayad 1992); there is no chord-tangent group law here.  No
 floating point anywhere: the sequences downstream need bit-exact
 denominators.
@@ -76,14 +77,18 @@ def net(c: Curve, P: Point) -> Callable[[int], tuple[int, int, int]]:
     A prime at which P is non-singular divides no common factor of the
     numerator and denominator of x(nP) (Ayad 1992, "Points S-entiers des
     courbes elliptiques"), and the singular primes divide the discriminant
-    -64b^3.  So x(nP) is reduced by gcds with 2b alone, never by a gcd of
-    two numbers of twice the bits of B_n.
+    -64b^3.  So x(nP) is reduced by gcds with Dj, the largest power of 2b
+    below 2^30 (2b itself when larger), which stays one digit of an int:
+    never by a gcd of two numbers of twice the bits of B_n.
     Where P is singular mod p, W_n carries p^(g n^2 - r(n)) beyond B_n, with
     r periodic in n (local heights): at some generators more bits than B_n
     itself.  The reduction there is additive, so 5P lies on the component of
     +-P and the excess of W_5 is H = prod p^(24 g).  The memo holds
     V_n = W_n / H^t(n), t(n) = (n^2 - 1) // 24, with about the bits of B_n;
-    every division is checked to be exact.
+    every division is checked to be exact.  The net also keeps the squares
+    of V_{n-1} .. V_{n+1} from its last call, so along a sequence each
+    square V_n^2 is taken once and serves in x(nP) and in the y of both
+    neighbours.
     """
     if not on_curve(c, P):
         raise ValueError("point does not satisfy the curve equation")
@@ -91,13 +96,16 @@ def net(c: Curve, P: Point) -> Callable[[int], tuple[int, int, int]]:
         raise HypothesisError("generator is a torsion point")
     # a rational point of the curve has x = A/B^2, y = C/B^3 in lowest terms
     A, B, C = P.x.numerator, isqrt(P.x.denominator), P.y.numerator
-    A2, u, D = A * A, c.b * B**4, 2 * c.b
+    A2, u, Dj = A * A, c.b * B**4, 2 * c.b
+    while Dj * 2 * c.b < 1 << 30:  # the largest power of 2b in one digit of an int
+        Dj *= 2 * c.b
     W = {-1: -1, 0: 0, 1: 1, 2: 2 * C, 3: 3 * A2 * A2 + 6 * u * A2 - u * u,
          4: 4 * C * (A2**3 + 5 * u * A2 * A2 - 5 * u * u * A2 - u**3)}
-    H = B * abs(_w(W, 1, 5)) // _multiple(W, 1, A, B, D, 5)[1]
+    # squares of its own: those of the unscaled W_5, W_6 must not outlive the rescale
+    H = B * abs(_w(W, 1, 5)) // _multiple(W, 1, A, B, Dj, {}, 5)[1]
     for n in (5, 6, 7):  # finding H left W_5 .. W_7 unscaled in the memo
         W[n] = _quotient(H, 0, W[n], 0, 0, _t(n))
-    return functools.partial(_multiple, W, H, A, B, D)
+    return functools.partial(_multiple, W, H, A, B, Dj, {})
 
 
 def _t(n: int) -> int:
@@ -133,23 +141,31 @@ def _w(W: dict[int, int], H: int, n: int) -> int:
     return v
 
 
-def _multiple(W: dict[int, int], H: int, A: int, B: int, D: int, n: int) -> tuple[int, int, int]:
-    """(A_n, B_n, C_n) from the window V_{n-2} .. V_{n+2}."""
+def _multiple(W: dict[int, int], H: int, A: int, B: int, Dj: int, S: dict[int, int],
+              n: int) -> tuple[int, int, int]:
+    """(A_n, B_n, C_n) from the window V_{n-2} .. V_{n+2}.
+
+    S holds the squares of the last call's V_{n-1} .. V_{n+1}: those inside
+    this window are reused, the others dropped.
+    """
     wm2, wm1, w, wp1, wp2 = (_w(W, H, i) for i in range(n - 2, n + 3))
+    sq = {i: S.get(i) or _w(W, H, i) ** 2 for i in range(n - 1, n + 2)}
+    S.clear()
+    S.update(sq)
     t = _t
     e = t(n - 1) + t(n + 1) - 2 * t(n)
     k = max(0, 1 - e) // 2  # x = num / den^2 with no negative power of H
-    ww, Hk = w * w, H**k
+    ww, Hk = sq[n], H**k
     num, den2 = A * Hk * Hk * ww - wm1 * wp1 * H ** (e + 2 * k), (B * Hk) ** 2 * ww
-    # gcd(num, den2) divides a power of 2b: strip it one small gcd at a time
+    # gcd(num, den2) divides a power of 2b: strip it one single-digit gcd at a time
     g = 1
-    while (r := gcd(num % D, den2 % D, D)) > 1:
+    while (r := gcd(num % Dj, den2 % Dj, Dj)) > 1:
         num, den2, g = num // r, den2 // r, g * r
     s = isqrt(g)
     if s * s != g:
         raise ArithmeticError(f"x-denominator of {n}P is not a perfect square")
-    Cn = _quotient(H, t(n + 2) + 2 * t(n - 1) + 3 * k, wp2 * wm1 * wm1,
-                   t(n - 2) + 2 * t(n + 1) + 3 * k, wm2 * wp1 * wp1, 3 * t(n), 2 * W[2] * s**3)
+    Cn = _quotient(H, t(n + 2) + 2 * t(n - 1) + 3 * k, wp2 * sq[n - 1],
+                   t(n - 2) + 2 * t(n + 1) + 3 * k, wm2 * sq[n + 1], 3 * t(n), 2 * W[2] * s**3)
     return num, B * Hk * abs(w) // s, Cn if w > 0 else -Cn
 
 

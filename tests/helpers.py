@@ -84,6 +84,14 @@ def factor_oracle(n: int) -> dict[int, int]:
     return out
 
 
+def reassembled(f) -> int:
+    """The product of a Factorization's prime powers and its unfactored cofactor."""
+    out = f.unfactored_cofactor
+    for p, e in f.factors.items():
+        out *= p**e
+    return out
+
+
 def is_prime_oracle(n: int) -> bool:
     if n < 2:
         return False

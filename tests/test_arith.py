@@ -12,6 +12,7 @@ from edspower import (
     squarefree_split,
     valuation,
 )
+from edspower import arith
 from edspower.arith import _floor_root, _witness
 
 from helpers import (
@@ -20,6 +21,7 @@ from helpers import (
     is_prime_oracle,
     perfect_power_oracle,
     perfect_power_root_oracle,
+    reassembled,
 )
 
 
@@ -50,14 +52,14 @@ def test_factorize_matches_oracle():
         f = factorize(n)
         assert f.is_complete
         assert f.factors == factor_oracle(n)
-        assert f.magnitude() == n
+        assert reassembled(f) == n
 
 
 def test_factorize_negative_and_zero():
     # magnitudes only: factorize(-n) == factorize(n)
     f = factorize(-12)
     assert f.factors == {2: 2, 3: 1}
-    assert f.magnitude() == 12
+    assert reassembled(f) == 12
     with pytest.raises(ValueError):
         factorize(0)
 
@@ -79,7 +81,7 @@ def test_factorize_budget_exhaustion_reported():
     f = factorize(n, Budget(trial_bound=100, rho_iterations=8))
     assert not f.is_complete
     assert f.unfactored_cofactor > 1
-    assert f.magnitude() == n
+    assert reassembled(f) == n
 
 
 def test_factorize_is_deterministic():
@@ -179,6 +181,17 @@ def test_witnesses_are_the_first_primes_one_mod_q():
     for q in (2, 3, 5, 7, 11, 13, 97, 1009):
         odd_primes = (r for r in range(q + 1, 10**6, q) if r % 2 and is_prime_oracle(r))
         assert [_witness(q, i) for i in range(8)] == [next(odd_primes) for _ in range(8)], q
+
+
+def test_prime_list_is_kept_and_grown_by_doubling(monkeypatch):
+    # perfect_power walks one module-level list of the primes up to a bound,
+    # re-sieved at twice the bound (or at the limit) only when a limit passes it
+    monkeypatch.setattr(arith, "_sieved", (1, []))
+    for limit, bound in [(5, 5), (6, 10), (7, 10), (10, 10), (25, 25), (26, 50), (3, 50)]:
+        primes = arith._primes_through(limit)
+        assert arith._sieved == (bound, primes), limit
+        assert primes == [p for p in range(bound + 1) if is_prime_oracle(p)], limit
+    assert perfect_power(3**200) == (3, 200) and arith._sieved[0] == 317
 
 
 def _planted(rng, bits: int, ell: int) -> int:

@@ -1,9 +1,11 @@
 """The benchmark's own checks, run on the current code."""
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "edsbench"
 
 
 def test_bench_selftest_passes():
@@ -12,3 +14,24 @@ def test_bench_selftest_passes():
     run = subprocess.run([sys.executable, "-B", "edsbench/selftest.py"], cwd=ROOT,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
+
+
+def test_bench_sequence_items_pass_their_checks(monkeypatch):
+    # the seed-1 sequence items of edsbench/run.py, each run once and checked
+    # in process by the benchmark's independent term and divisibility checks;
+    # no bytecode is written, so edsbench/ stays unwritten
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", [str(BENCH), *sys.path])
+    spec = importlib.util.spec_from_file_location("edsbench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    try:
+        spec.loader.exec_module(run)
+        items = run.setup_sequence(1, run.NO_TRACE)
+        assert len(items) > 30
+        for item in items:
+            item.check(item.run(run.NO_TRACE))
+    finally:  # the bench's own modules (checks, inputs, ...) leave with it
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or ROOT).parent == BENCH:
+                del sys.modules[name]

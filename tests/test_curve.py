@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -16,7 +17,7 @@ from edspower import (
     mul,
     on_curve,
 )
-from edspower import curve
+from edspower import curve, eds
 from edspower.curve import net
 
 from helpers import add, multiples_oracle, neg, torsion_oracle, weierstrass_invariants
@@ -188,7 +189,9 @@ def test_net_sheds_the_excess_of_singular_reduction():
     # of the reduction by gcds with D = 2b: a modulus of two limbs (2b > 2^64),
     # a deep power of 2 (b = 128, H = 2^42) and an odd b with a single 2 in D:
     # terms 1..40 against the oracle, and every memoised net value within a few
-    # words of B_n (unscaled, W_40 of (100, (20, 100)) carries about 2,600 bits more)
+    # words of B_n (unscaled, W_40 of (100, (20, 100)) carries about 2,600 bits more).
+    # Random access too, on fresh nets and out of order on one: the net keeps
+    # only the squares of V_{m-1} .. V_{m+1}, none of the unscaled W_5 .. W_7
     assert net(make_curve_xb(128), Point(32, 192)).args[1] == 2**42
     for b, x, y in [(100, 20, 100), (196, 98, 980), (80, 80, 720), (18, 6, 18), (15, 15, 60), (5, 20, 90),
                     (19342813116668607771809189, Fraction(1, 4), Fraction(17592186045705, 8)),
@@ -199,6 +202,55 @@ def test_net_sheds_the_excess_of_singular_reduction():
         assert terms == multiples_oracle(c, P, 40), (b, x, y)
         memo = f.args[0]
         assert all(memo[n].bit_length() <= terms[n - 1][1].bit_length() + 64 for n in range(1, 41)), (b, x, y)
+        for m in [*range(1, 13), 40]:
+            assert net(c, P)(m) == terms[m - 1], (b, x, y, m)
+        for m in (40, 3, 39, 4, 5, 1, 2, 7, 6, 38, 40):
+            assert f(m) == terms[m - 1] and sorted(f.args[5]) == [m - 1, m, m + 1], (b, x, y, m)
+
+
+def test_net_reduces_by_a_digit_of_2b_and_keeps_three_squares(monkeypatch):
+    # gcds with the largest power of 2b below 2^30, or with 2b when it is larger
+    assert net(make_curve_xb(5), Point(20, 90)).args[4] == 10**9
+    assert net(make_curve_xb(128), Point(32, 192)).args[4] == 2**24
+    b = 19342813116668607771809189
+    assert net(make_curve_xb(b), Point(Fraction(1, 4), Fraction(17592186045705, 8))).args[4] == 2 * b > 2**30
+    # along generate, the squares never outnumber the window
+    sizes = []
+
+    def counted(c, P):
+        f = net(c, P)
+
+        def call(m):
+            out = f(m)
+            sizes.append(len(f.args[5]))
+            return out
+        return call
+
+    monkeypatch.setattr(eds, "net", counted)
+    generate(make_curve_xb(100), Point(20, 100), 60)
+    assert len(sizes) == 60 and max(sizes) == 3
+
+
+# SHA-256 of the (A_m, B_m, C_m) of generate, each int as signed big-endian
+# bytes, taken before the net shared its squares: pins the prefixes far past
+# the oracle's 40 terms, on b = 5, on a generator with H > 1 and on a 2b of
+# two 64-bit limbs
+LONG_PREFIXES = [
+    (5, 20, 90, 150, "c7e54e9c1977f29c682f6cf0bbf266c5505c4f69169821491011f9629c16584a"),
+    (100, 20, 100, 150, "0a504504cee62f307ee222103bce09cfe604ccc227be311bdf43f0c538b41dcb"),
+    (19342813116668607771809189, Fraction(1, 4), Fraction(17592186045705, 8), 80,
+     "30d506dbef204e38dfab4b41d3a31989d135bb57ae039d8b3ed635652f646879"),
+]
+
+
+def test_long_prefixes_are_pinned():
+    assert net(make_curve_xb(100), Point(20, 100)).args[1] > 1
+    for b, x, y, M, digest in LONG_PREFIXES:
+        h = hashlib.sha256()
+        for t in generate(make_curve_xb(b), Point(x, y), M).terms:
+            for n in (t.A, t.B, t.C):
+                h.update(n.to_bytes(n.bit_length() // 8 + 1, "big", signed=True))
+        assert h.hexdigest() == digest, (b, M)
 
 
 def test_net_takes_no_gcd_of_two_big_numbers(monkeypatch):
