@@ -15,10 +15,9 @@ from .arith import (
     factorize,
     is_probable_prime,
     perfect_power,
-    squarefree_split,
     valuation,
 )
-from .curve import Curve, INFINITY, Point, is_torsion, make_curve_xb, mul, on_curve
+from .curve import Curve, Point, is_torsion, make_curve_xb, mul, on_curve
 from .descent import DescentDatum, decompose, to_frey
 from .eds import (
     EDSTerm,
@@ -52,9 +51,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Budget", "DEFAULT_BUDGET", "Factorization", "exact_root", "factorize",
-    "is_probable_prime", "perfect_power", "squarefree_split", "valuation",
-    "Curve", "INFINITY", "Point", "is_torsion", "make_curve_xb", "mul",
-    "on_curve",
+    "is_probable_prime", "perfect_power", "valuation",
+    "Curve", "Point", "is_torsion", "make_curve_xb", "mul", "on_curve",
     "EDSTerm", "PrimitiveDivisors", "Sequence", "check_strong_divisibility",
     "check_valuation_growth", "extend", "generate", "primitive_divisors",
     "scan_powers", "term",

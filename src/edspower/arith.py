@@ -2,10 +2,9 @@
 
 Factorization (trial division, then Pollard rho with Brent's cycle
 detection under an iteration cap), Miller-Rabin primality, integer roots,
-perfect-power detection behind a residue sieve, and squarefree
-decomposition.  Everything is pure Python on built-in ints; factoring
-effort is governed by an explicit :class:`Budget` so that large inputs
-fail gracefully instead of hanging.
+and perfect-power detection behind a residue sieve.  Everything is pure
+Python on built-in ints; factoring effort is governed by an explicit
+:class:`Budget` so that large inputs fail gracefully instead of hanging.
 """
 from __future__ import annotations
 
@@ -13,8 +12,6 @@ import random
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
-
-from .errors import BudgetExhausted
 
 # Deterministic Miller-Rabin witness set, sufficient below this limit.
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -340,23 +337,3 @@ def perfect_power(n: int) -> tuple[int, int] | None:
         return None
     return base, exp
 
-
-def squarefree_split(n: int, budget: Budget = DEFAULT_BUDGET) -> tuple[int, int]:
-    """Write n = a * u**2 with a squarefree; returns (a, u).
-
-    Needs the complete factorization of n, so the effort budget must
-    suffice; otherwise BudgetExhausted is raised.
-    """
-    if n < 1:
-        raise ValueError("squarefree_split requires n >= 1")
-    f = factorize(n, budget)
-    if not f.is_complete:
-        raise BudgetExhausted(
-            f"factoring budget exhausted on cofactor {f.unfactored_cofactor}"
-        )
-    a = u = 1
-    for p, e in f.factors.items():
-        if e % 2:
-            a *= p
-        u *= p ** (e // 2)
-    return a, u

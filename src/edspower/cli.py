@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -31,18 +32,22 @@ from .frey import FreySolution
 from .quadfield import QuadElement
 
 
+# a coordinate: an optional sign, digits and an optional /digits, as str(Fraction)
+# writes it; Fraction itself would also take 1e10000000 and build the power
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_point(text: str) -> Point:
-    parts = text.split(",")
+    """The point of str(Point)'s text "x,y"."""
+    parts = [part.strip() for part in text.split(",")]
     if len(parts) != 2:
         raise ValueError(f"expected X,Y rational coordinates, got {text!r}")
+    if not all(map(_RATIONAL.fullmatch, parts)):
+        raise ValueError(f"cannot parse point {text!r}: coordinates are num or num/den")
     try:
-        return Point(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Point(*parts)
+    except ZeroDivisionError as exc:
         raise ValueError(f"cannot parse point {text!r}: {exc}") from exc
-
-
-def _point_str(P: Point) -> str:
-    return f"{P.x},{P.y}"
 
 
 @functools.cache
@@ -108,7 +113,7 @@ def _cmd_gen(args: argparse.Namespace) -> dict:
     if args.max_m < 1:
         raise ValueError("--max-m must be positive")
     s = eds.generate(c, P, args.max_m)
-    return {"b": args.b, "generator": _point_str(P), "terms": s.terms}
+    return {"b": args.b, "generator": str(P), "terms": s.terms}
 
 
 def _cmd_scan(args: argparse.Namespace) -> dict:
@@ -118,7 +123,7 @@ def _cmd_scan(args: argparse.Namespace) -> dict:
     s = eds.generate(c, P, args.max_m)
     return {
         "b": args.b,
-        "generator": _point_str(P),
+        "generator": str(P),
         "max_m": args.max_m,
         "hits": [{"m": m, "ell": ell, "w": w} for m, ell, w in eds.scan_powers(s)],
     }
@@ -152,7 +157,7 @@ def _cmd_descend(args: argparse.Namespace) -> dict:
     d = descent.decompose(c, t, ell, w, budget)
     return {
         "b": args.b,
-        "generator": _point_str(P),
+        "generator": str(P),
         "term": t,
         "datum": d,
         "frey_solution": descent.to_frey(d),
@@ -220,25 +225,22 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N", help="trial-division bound (default %(default)s)")
     effort.add_argument("--rho-iterations", type=int, default=Budget().rho_iterations,
                         metavar="N", help="iteration budget for the rho stage (default %(default)s)")
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--b", type=int, required=True, help="curve parameter, y^2 = x(x^2 + b)")
+    curve.add_argument("--point", required=True, metavar="X,Y", help="generator, rational coordinates as num/den")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate sequence terms (m, A, B, C)")
-    p.add_argument("--b", type=int, required=True, help="curve parameter, y^2 = x(x^2 + b)")
-    p.add_argument("--point", required=True, metavar="X,Y", help="generator, rational coordinates as num/den")
+    p = sub.add_parser("gen", parents=[common, curve], help="generate sequence terms (m, A, B, C)")
     p.add_argument("--max-m", type=int, required=True, help="last index to generate")
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("scan", parents=[common], help="report perfect powers among B_1..B_M")
-    p.add_argument("--b", type=int, required=True, help="curve parameter")
-    p.add_argument("--point", required=True, metavar="X,Y", help="generator")
+    p = sub.add_parser("scan", parents=[common, curve], help="report perfect powers among B_1..B_M")
     p.add_argument("--max-m", type=int, required=True, help="last index to scan")
     p.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("descend", parents=[common, effort],
+    p = sub.add_parser("descend", parents=[common, effort, curve],
                        help="decompose a term: A = a*u^2, v^2 - a*u^4 = (b/a)*w^(4*ell)")
-    p.add_argument("--b", type=int, required=True, help="curve parameter")
-    p.add_argument("--point", required=True, metavar="X,Y", help="generator")
     p.add_argument("--m", type=int, required=True, help="term index to decompose")
     p.add_argument("--ell", type=int, default=None,
                    help="treat B_m as an ell-th power (default: maximal exponent)")
@@ -256,10 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also classify reduction at the primes over P")
     p.set_defaults(handler=_cmd_frey)
 
-    p = sub.add_parser("ledger", parents=[common, effort],
-                       help="assemble the exponent-bound report for a generator")
-    p.add_argument("--b", type=int, required=True, help="curve parameter")
-    p.add_argument("--point", required=True, metavar="X,Y", help="non-integral generator")
+    p = sub.add_parser("ledger", parents=[common, effort, curve],
+                       help="assemble the exponent-bound report for a non-integral generator")
     p.add_argument("--q", type=int, required=True, help="prime divisor of B_1")
     p.add_argument("--c-config", type=int, required=True,
                    help="stand-in for the effective irreducibility constant")

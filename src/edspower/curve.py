@@ -1,13 +1,13 @@
 """The curves y^2 = x(x^2 + b), b a positive integer, and the multiples of a point.
 
 Every curve of the package belongs to this one family.  Its discriminant
--64b^3 never vanishes, so every member is nonsingular.  Points carry exact
-Fraction coordinates.  The multiples nP of a non-torsion point come from
-one integer recurrence, the elliptic net of P, with y(nP) read off squares
-shared between neighbouring windows and x(nP) reduced over the primes of
-2b only (Ayad 1992); there is no chord-tangent group law here.  No
-floating point anywhere: the sequences downstream need bit-exact
-denominators.
+-64b^3 never vanishes, so every member is nonsingular.  Points are affine,
+with exact Fraction coordinates: no multiple of a non-torsion point is O,
+so there is no point at infinity.  The multiples nP come from one integer
+recurrence, the elliptic net of P, with y(nP) read off squares shared
+between neighbouring windows and x(nP) reduced over the primes of 2b only
+(Ayad 1992); there is no chord-tangent group law here.  No floating point
+anywhere: the sequences downstream need bit-exact denominators.
 """
 from __future__ import annotations
 
@@ -33,24 +33,17 @@ class Curve:
 
 @dataclass(frozen=True)
 class Point:
-    """A rational point: affine (x, y) or the point at infinity (None, None)."""
+    """An affine rational point (x, y); its text "x,y" is the form the CLI parses."""
 
-    x: Fraction | None
-    y: Fraction | None
+    x: Fraction
+    y: Fraction
 
     def __post_init__(self):
-        if (self.x is None) != (self.y is None):
-            raise ValueError("both coordinates must be given, or neither")
-        if self.x is not None:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+        object.__setattr__(self, "x", Fraction(self.x))
+        object.__setattr__(self, "y", Fraction(self.y))
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-
-INFINITY = Point(None, None)
+    def __str__(self):
+        return f"{self.x},{self.y}"
 
 
 def make_curve_xb(b: int) -> Curve:
@@ -60,8 +53,6 @@ def make_curve_xb(b: int) -> Curve:
 
 def on_curve(c: Curve, P: Point) -> bool:
     """Exact check of the curve equation."""
-    if P.is_infinity:
-        return True
     x, y = P.x, P.y
     return y * y == x * (x * x + c.b)
 
@@ -69,7 +60,7 @@ def on_curve(c: Curve, P: Point) -> bool:
 def net(c: Curve, P: Point) -> Callable[[int], tuple[int, int, int]]:
     """n -> (A_n, B_n, C_n) of nP = (A_n/B_n^2, C_n/B_n^3), read off the elliptic net of P.
 
-    P must be a non-torsion point of c (so not O).  With P = (A/B^2, C/B^3)
+    P must be a non-torsion point of c.  With P = (A/B^2, C/B^3)
     the net W_n = B^(n^2-1) psi_n(P) is an integer sequence (Ward 1948;
     Stange 2007, "Elliptic nets"), and
         x(nP) = (A W_n^2 - W_{n-1} W_{n+1}) / (B W_n)^2,
@@ -170,7 +161,7 @@ def _multiple(W: dict[int, int], H: int, A: int, B: int, Dj: int, S: dict[int, i
 
 
 def mul(c: Curve, n: int, P: Point) -> Point:
-    """nP for n >= 1 and an affine, non-torsion P, read off the elliptic net."""
+    """nP for n >= 1 and a non-torsion P, read off the elliptic net."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     A, B, C = net(c, P)(n)
@@ -180,9 +171,9 @@ def mul(c: Curve, n: int, P: Point) -> Point:
 def is_torsion(c: Curve, P: Point) -> bool:
     """True iff P has finite order.  P must lie on c.
 
-    For b > 0 the rational torsion is {O, (0, 0)}, except for b = 4t^4,
+    For b > 0 the affine rational torsion is (0, 0), except for b = 4t^4,
     which adds the points (2t^2, +-4t^3) of order 4 (Knapp, Elliptic
     Curves, the torsion of y^2 = x^3 + bx).  These are exactly the points
     of c with x^2 = b: x(2P) = (x^2 - b)^2 / (4y^2) vanishes there.
     """
-    return P.is_infinity or P.x == 0 or P.x * P.x == c.b
+    return P.x == 0 or P.x * P.x == c.b

@@ -89,8 +89,7 @@ def check_valuation_growth(s: Sequence, p: int, n: int, k: int) -> bool:
     """v_p(B_{nk}) = v_p(B_n) + v_p(k)?  Requires v_p(B_n) > 0."""
     if k < 1:
         raise ValueError("multiplier k must be positive")
-    bn = _get_B(s, n)
-    v_n = arith.valuation(bn, p) if bn > 1 else 0
+    v_n = arith.valuation(_get_B(s, n), p)
     if v_n == 0:
         raise ValueError(f"v_{p}(B_{n}) = 0; the growth law needs a positive valuation")
     return arith.valuation(_get_B(s, n * k), p) == v_n + arith.valuation(k, p)

@@ -16,7 +16,7 @@ from math import gcd
 from . import arith
 from .arith import DEFAULT_BUDGET, Budget
 from .errors import BudgetExhausted
-from .quadfield import QuadElement, QuadPrime, prime_valuation
+from .quadfield import QuadElement, QuadPrime, _require_squarefree, prime_valuation
 
 
 class Reduction(str, enum.Enum):
@@ -85,10 +85,7 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
     # last: the one factorization, of 2ad, so malformed input spends no
     # budget; its primes settle both the squarefree check and the bad set
     f = arith.factorize(2 * a * s.d, budget)
-    if any(a % (p * p) == 0 for p in f.factors):
-        raise ValueError(f"a = {a} is not squarefree")
-    if not f.is_complete:
-        raise BudgetExhausted(f"factoring budget exhausted on cofactor {f.unfactored_cofactor}")
+    _require_squarefree(a, f)
     return FreyCurve(
         solution=s,
         a2_coeff=QuadElement(a, 0, 4 * u),

@@ -322,7 +322,7 @@ def build_report(
 
     return LedgerReport(
         b=b,
-        generator=f"{generator.x},{generator.y}",
+        generator=str(generator),
         q=q,
         B1=B1,
         T=tuple(sorted(T)),

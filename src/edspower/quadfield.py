@@ -6,9 +6,10 @@ no arithmetic on them.  When a = 1 the field collapses to Q and y is
 folded into x on construction.  prime_valuation reads v_P(z) at a prime
 P over an odd rational prime from the coordinates and the norm.
 
-primes_above checks a label squarefree by factoring it under the default
-budget; labels the package builds from primes it has already found go to
-_primes_above unchecked.
+primes_above factors a label under the default budget and refuses it
+when a prime divides it twice or the factorization is incomplete; labels
+the package builds from primes it has already found go to _primes_above
+unchecked.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import arith
+from .errors import BudgetExhausted
 
 
 class SplitType(str, enum.Enum):
@@ -69,11 +71,19 @@ class QuadPrime:
     residue_norm: int
 
 
+def _require_squarefree(a: int, f: arith.Factorization) -> None:
+    """a has no square factor, read off a factorization f that holds every prime of a."""
+    if any(a % (p * p) == 0 for p in f.factors):
+        raise ValueError(f"a = {a} is not squarefree")
+    if not f.is_complete:
+        raise BudgetExhausted(f"factoring budget exhausted on cofactor {f.unfactored_cofactor}")
+
+
 def _require_field_label(a: int) -> None:
     if not isinstance(a, int) or a < 1:
         raise ValueError("a must be a positive integer")
-    if a > 1 and arith.squarefree_split(a)[1] != 1:
-        raise ValueError(f"a = {a} is not squarefree")
+    if a > 1:
+        _require_squarefree(a, arith.factorize(a))
 
 
 def _sqrt_mod_p(a: int, p: int) -> int:

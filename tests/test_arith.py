@@ -4,12 +4,10 @@ import pytest
 
 from edspower import (
     Budget,
-    BudgetExhausted,
     exact_root,
     factorize,
     is_probable_prime,
     perfect_power,
-    squarefree_split,
     valuation,
 )
 from edspower import arith
@@ -238,22 +236,3 @@ def test_perfect_power_base_divisible_by_first_witness():
     assert perfect_power((all_two * k) ** 2) == perfect_power_root_oracle((all_two * k) ** 2)
     assert perfect_power(all_two * k * k) == perfect_power_root_oracle(all_two * k * k)
 
-
-def test_squarefree_split():
-    assert squarefree_split(1) == (1, 1)
-    assert squarefree_split(12) == (3, 2)
-    assert squarefree_split(500) == (5, 10)
-    assert squarefree_split(6241) == (1, 79)
-    for n in range(1, 800):
-        a, u = squarefree_split(n)
-        assert a * u * u == n
-        assert squarefree_split(a) == (a, 1)
-    with pytest.raises(BudgetExhausted):
-        squarefree_split(99999989 * 99999971, Budget(trial_bound=100, rho_iterations=4))
-
-
-def test_is_squarefree():
-    assert squarefree_split(1)[1] == 1
-    assert squarefree_split(30)[1] == 1
-    assert squarefree_split(12)[1] != 1
-    assert squarefree_split(49)[1] != 1

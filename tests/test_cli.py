@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import sys
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +19,7 @@ from edspower import (
     generate,
     make_curve_xb,
 )
-from edspower.cli import build_parser, main
+from edspower.cli import _parse_point, build_parser, main
 from edspower.ledger import CandidateField, LevelEntry
 
 
@@ -67,6 +69,19 @@ def test_gen_table(capsys):
 def test_gen_rational_point(capsys):
     doc = run_json(capsys, ["gen", "--b", "5", "--point", "6241/1296,543599/46656", "--max-m", "2"])
     assert [t["B"] for t in doc["terms"]] == ["36", "39139128"]
+
+
+@pytest.mark.parametrize("point", ["1e10000000,1", "0.5,1", "1_0,1", "20,+-90", "1/0,1"])
+def test_point_outside_the_num_den_form_is_refused(capsys, point):
+    # Fraction alone would build 10**10000000 from the first before any check
+    assert main(["gen", "--b", "5", "--point", point, "--max-m", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot parse point {point!r}: ")
+
+
+def test_point_text_round_trips():
+    for t in generate(make_curve_xb(5), Point(20, 90), 3).terms:
+        Q = Point(Fraction(t.A, t.B**2), Fraction(-t.C, t.B**3))
+        assert _parse_point(str(Q)) == Q
 
 
 def test_scan_document(capsys):
@@ -234,6 +249,12 @@ def test_output_is_deterministic(capsys):
 def test_parser_structure():
     parser = build_parser()
     assert parser.prog == "edspower"
+    # the four commands on a curve share one declaration of --b and --point
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("gen", "scan", "descend", "ledger"):
+        helps = {a.dest: a.help for a in sub.choices[name]._actions}
+        assert helps["b"] == "curve parameter, y^2 = x(x^2 + b)"
+        assert helps["point"] == "generator, rational coordinates as num/den"
 
 
 # Byte-for-byte pins of the command line: argv (with {2P} the point 2P of

@@ -1,5 +1,7 @@
 """The package names edsbench/run.py calls stay importable and callable."""
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +29,13 @@ def test_bench_name_is_callable(dotted):
 def test_package_exports_resolve():
     for name in edspower.__all__:
         assert hasattr(edspower, name), name
+
+
+def test_readme_export_list_matches_all():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("The package root exports, by module:")
+    sentence = readme[start:readme.index(").", start) + 1]
+    # the backticked names in each module's parentheses, not the module names
+    listed = {name for group in re.findall(r"\(([^()]*)\)", sentence)
+              for name in re.findall(r"`([^`]+)`", group)}
+    assert listed == set(edspower.__all__) - {"__version__"}

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from edspower import (
+    BudgetExhausted,
     QuadElement,
     SplitType,
     prime_valuation,
@@ -39,6 +40,22 @@ def test_field_label_must_be_squarefree():
         primes_above(12, 7)[0].kind
     with pytest.raises(ValueError):
         primes_above(4, 7)
+    for a in (1, 30):
+        primes_above(a, 3)
+    for a in (12, 49):
+        with pytest.raises(ValueError, match="not squarefree"):
+            primes_above(a, 3)
+    # exactly the labels a trial oracle finds a square prime factor in
+    for a in range(1, 800):
+        if any(a % (p * p) == 0 for p in range(2, 29)):
+            with pytest.raises(ValueError, match=f"a = {a} is not squarefree"):
+                primes_above(a, 3)
+        else:
+            assert primes_above(a, 3)
+    # a = 2199023255713 * 8796093022853 splits only past the default rho budget
+    a = 19342813116668607771809189
+    with pytest.raises(BudgetExhausted, match=f"^factoring budget exhausted on cofactor {a}$"):
+        primes_above(a, 3)
 
 
 def test_splitting_types():
