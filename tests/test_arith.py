@@ -4,6 +4,7 @@ import pytest
 
 from edspower import (
     Budget,
+    BudgetExhausted,
     exact_root,
     factorize,
     is_probable_prime,
@@ -12,6 +13,7 @@ from edspower import (
 )
 from edspower import arith
 from edspower.arith import _floor_root, _witness
+from edspower.quadfield import _require_squarefree
 
 from helpers import (
     factor_oracle,
@@ -236,3 +238,42 @@ def test_perfect_power_base_divisible_by_first_witness():
     assert perfect_power((all_two * k) ** 2) == perfect_power_root_oracle((all_two * k) ** 2)
     assert perfect_power(all_two * k * k) == perfect_power_root_oracle(all_two * k * k)
 
+
+def _split(n: int) -> tuple[int, int]:
+    """n = a*u^2 with a squarefree, read off a complete factorization of n."""
+    f = factorize(n)
+    assert f.is_complete
+    a = u = 1
+    for p, e in f.factors.items():
+        a *= p ** (e % 2)
+        u *= p ** (e // 2)
+    return a, u
+
+
+def test_squarefree_split():
+    assert _split(1) == (1, 1)
+    assert _split(12) == (3, 2)
+    assert _split(500) == (5, 10)
+    assert _split(6241) == (1, 79)
+    for n in range(1, 800):
+        a, u = _split(n)
+        assert a * u * u == n
+        assert _split(a) == (a, 1)
+        _require_squarefree(a, factorize(a))
+        if u > 1:
+            with pytest.raises(ValueError, match=f"a = {n} is not squarefree"):
+                _require_squarefree(n, factorize(n))
+    # the check needs the complete factorization: a short budget is refused
+    n = 99999989 * 99999971
+    f = factorize(n, Budget(trial_bound=100, rho_iterations=4))
+    assert not f.is_complete
+    with pytest.raises(BudgetExhausted):
+        _require_squarefree(n, f)
+
+
+def test_is_squarefree():
+    for n in (1, 30):
+        _require_squarefree(n, factorize(n))
+    for n in (12, 49):
+        with pytest.raises(ValueError, match="not squarefree"):
+            _require_squarefree(n, factorize(n))
