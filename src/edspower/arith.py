@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, cycle
 from math import gcd, isqrt
 
 # Deterministic Miller-Rabin witness set, sufficient below this limit.
@@ -19,7 +19,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Pseudo-random bases added to _MR_BASES at and above that limit.
 _MR_EXTRA_ROUNDS = 16
 
-# mod-30 wheel for trial division, starting at 7
+# mod-30 wheel for trial division: the steps from 7 on, after 2, 3 and 5
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
@@ -121,21 +121,15 @@ def trial_factors(m: int, bound: int):
     """Yield (p, e, rest) for the primes p dividing m > 0, in increasing order.
 
     p**e exactly divides m, and rest is what remains of m once p and every
-    smaller prime are stripped.  The primes 2, 3 and 5 are always tried,
-    then the wheel runs up to bound.  A remainder with no divisor up to
-    its square root is prime and comes last, with rest 1; otherwise the
-    last rest is the cofactor left for the rho stage, every prime factor
-    of which exceeds bound.
+    smaller prime are stripped.  The bound is raised to at least 5, so 2, 3
+    and 5 are always tried before the wheel runs on up to bound.  A
+    remainder with no divisor up to its square root is prime and comes
+    last, with rest 1; otherwise the last rest is the cofactor left for the
+    rho stage, every prime factor of which exceeds bound.
     """
-    for p in (2, 3, 5):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            yield p, e, m
-    p = 7
-    i = 0
+    bound = max(bound, 5)
+    steps = chain((1, 2, 2), cycle(_WHEEL))
+    p = 2
     while p <= bound and p * p <= m:
         if m % p == 0:
             e = 0
@@ -143,8 +137,7 @@ def trial_factors(m: int, bound: int):
                 m //= p
                 e += 1
             yield p, e, m
-        p += _WHEEL[i]
-        i = (i + 1) & 7
+        p += next(steps)
     if m > 1 and p * p > m:
         yield m, 1, 1
 
@@ -190,6 +183,8 @@ def rho_factors(m: int, budget: Budget) -> tuple[dict[int, int], int]:
     Returns (factors, cofactor): the primes found with their exponents and
     the product of the parts the budget left unsplit (1 when none).  Meant
     for the cofactor trial division leaves, so it does no trial division.
+    Only rho steps are charged to the budget: the Miller-Rabin test on each
+    piece is not, so a small budget bounds the steps, not the time.
     """
     factors: dict[int, int] = {}
     cofactor = 1
@@ -249,7 +244,11 @@ def valuation(n: int, p: int) -> int:
 
 
 def _floor_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, by integer Newton iteration."""
+    """floor(n ** (1/k)) for n >= 0, k >= 1, by integer Newton iteration.
+
+    Newton started at or above the root stays there (by AM-GM) and falls
+    while above it, so it stops exactly at the floor.
+    """
     if k == 1 or n < 2:
         return n
     if k == 2:
@@ -262,8 +261,6 @@ def _floor_root(n: int, k: int) -> int:
         if y >= x:
             break
         x = y
-    while x**k > n:
-        x -= 1
     return x
 
 

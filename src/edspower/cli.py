@@ -16,7 +16,6 @@ exhausted, 5 an internal arithmetic check failed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import re
@@ -50,17 +49,13 @@ def _parse_point(text: str) -> Point:
         raise ValueError(f"cannot parse point {text!r}: {exc}") from exc
 
 
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
 def _stringify(obj):
     """The JSON form of a result, built in one walk.
 
     Integers and rationals become decimal strings, an Enum its value, a set
     a sorted list, a QuadElement {"x", "y", "display"}, and any other
-    dataclass an object keyed by its field names in field order.
+    dataclass an object read from vars(): every result is a dataclass whose
+    __dict__ holds exactly its fields, in field order.
     """
     if obj is None or isinstance(obj, bool):
         return obj
@@ -78,7 +73,7 @@ def _stringify(obj):
         return [_stringify(v) for v in sorted(obj)]
     if isinstance(obj, QuadElement):
         return {"x": str(obj.x), "y": str(obj.y), "display": str(obj)}
-    return {name: _stringify(getattr(obj, name)) for name in _field_names(type(obj))}
+    return _stringify(vars(obj))
 
 
 def _leaf(value) -> str:

@@ -100,12 +100,10 @@ def primitive_divisors(s: Sequence, m: int, budget: Budget = DEFAULT_BUDGET) -> 
 
     By strong divisibility the first index whose term a prime divides
     divides every index whose term it divides, so a prime of B_m is
-    primitive exactly when it divides no B_{m/r} for a prime r | m.
+    primitive exactly when it divides no B_{m/r} for a prime r | m.  A term
+    B_m = 1 needs no case of its own: factorize(1) is empty and complete.
     """
-    bm = _get_B(s, m)
-    if bm == 1:
-        return PrimitiveDivisors(frozenset(), True)
-    f = arith.factorize(bm, budget)
+    f = arith.factorize(_get_B(s, m), budget)
     below = [_get_B(s, m // r) for r, _, _ in arith.trial_factors(m, m)]
     prim = frozenset(p for p in f.factors if all(B % p for B in below))
     return PrimitiveDivisors(prim, f.is_complete)

@@ -99,9 +99,10 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
 
 
 def _delta_valuation(F: FreyCurve, P: QuadPrime) -> int:
-    """v_P(delta) = 2*v_P(v + u^2*sqrt(a)) + v_P(v - u^2*sqrt(a)) outside the bad set."""
-    if P.a != F.field_label:
-        raise ValueError("prime and curve live in different fields")
+    """v_P(delta) = 2*v_P(v + u^2*sqrt(a)) + v_P(v - u^2*sqrt(a)) outside the bad set.
+
+    prime_valuation refuses a prime of another field.
+    """
     if P.p in F.bad_primes:
         raise ValueError(f"p = {P.p} is in the bad set {sorted(F.bad_primes)}")
     s = F.solution

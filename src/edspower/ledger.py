@@ -152,7 +152,6 @@ def find_k_p0(
     _check_index_search(B1, q, search_cap)
     v1 = arith.valuation(B1, q)
     f = net(s.curve, s.generator)
-    tried = []
     incomplete = []
     B_prev, j = B1, 1
     while q**j <= search_cap:
@@ -163,11 +162,10 @@ def find_k_p0(
             incomplete.append(index)
         if p0 is not None:
             return v1 + j, p0, tuple(incomplete)
-        tried.append(index)
         B_prev, j = B, j + 1
     detail = ", ".join(
         f"index {idx} ({'factoring incomplete' if idx in incomplete else 'fully factored'})"
-        for idx in tried
+        for idx in (q**i for i in range(1, j))
     )
     raise BudgetExhausted(
         f"no primitive divisor outside T at indices up to {search_cap}; tried {detail}"

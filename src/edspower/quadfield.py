@@ -79,13 +79,6 @@ def _require_squarefree(a: int, f: arith.Factorization) -> None:
         raise BudgetExhausted(f"factoring budget exhausted on cofactor {f.unfactored_cofactor}")
 
 
-def _require_field_label(a: int) -> None:
-    if not isinstance(a, int) or a < 1:
-        raise ValueError("a must be a positive integer")
-    if a > 1:
-        _require_squarefree(a, arith.factorize(a))
-
-
 def _sqrt_mod_p(a: int, p: int) -> int:
     """A square root of a modulo an odd prime p (a must be a residue), by Tonelli-Shanks.
 
@@ -132,7 +125,10 @@ def _primes_above(a: int, p: int) -> list[QuadPrime]:
 
 def primes_above(a: int, p: int) -> list[QuadPrime]:
     """The primes of Q(sqrt(a)) over p, split ones with their roots mod p."""
-    _require_field_label(a)
+    if not isinstance(a, int) or a < 1:
+        raise ValueError("a must be a positive integer")
+    if a > 1:
+        _require_squarefree(a, arith.factorize(a))
     if p < 2 or not arith.is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     return _primes_above(a, p)

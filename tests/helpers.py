@@ -87,6 +87,29 @@ def factor_oracle(n: int) -> dict[int, int]:
     return out
 
 
+def trial_factors_oracle(m: int, bound: int) -> list[tuple[int, int, int]]:
+    """trial_factors' (p, e, rest) triples by plain trial division.  Small m only.
+
+    Every prime up to max(bound, 5) is tried, in increasing order.  What is
+    left is reported as a prime when it is below the square of the next
+    prime, which for a bound of at most 12 is also the wheel's next step.
+    """
+    assert m >= 1 and bound <= 12
+    bound = max(bound, 5)
+    out = []
+    for p in range(2, bound + 1):
+        if is_prime_oracle(p) and m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e, m))
+    nxt = next(p for p in range(bound + 1, 2 * bound + 2) if is_prime_oracle(p))
+    if m > 1 and nxt * nxt > m:
+        out.append((m, 1, 1))
+    return out
+
+
 def reassembled(f) -> int:
     """The product of a Factorization's prime powers and its unfactored cofactor."""
     out = f.unfactored_cofactor

@@ -22,6 +22,7 @@ from helpers import (
     perfect_power_oracle,
     perfect_power_root_oracle,
     reassembled,
+    trial_factors_oracle,
 )
 
 
@@ -134,6 +135,30 @@ def test_floor_root_matches_bisection():
             assert _floor_root(w**k, k) == w
             assert _floor_root(w**k - 1, k) == w - 1
             assert _floor_root(w**k + 1, k) == w
+
+
+def test_floor_root_matches_bisection_to_2048_bits():
+    # Newton from above stops at the floor with no correction step
+    rng = random.Random(22)
+    for _ in range(200):
+        n = rng.randrange(1, 1 << rng.randrange(1, 2049))
+        k = rng.randrange(1, 65)
+        assert _floor_root(n, k) == iroot_oracle(n, k), (n, k)
+    for _ in range(100):
+        k = rng.randrange(2, 65)
+        w = rng.randrange(2, 1 << max(2, 2048 // k))
+        for n in (w**k - 1, w**k, w**k + 1):
+            assert _floor_root(n, k) == iroot_oracle(n, k), (n, k)
+
+
+def test_trial_factors_matches_trial_division():
+    for bound in range(2, 13):
+        for m in range(1, 5001):
+            assert list(arith.trial_factors(m, bound)) == trial_factors_oracle(m, bound), (m, bound)
+    # a bound below 5 still strips 2, 3 and 5; 49 is left for the rho stage
+    assert list(arith.trial_factors(2**3 * 3**2 * 5 * 49, 2)) == [
+        (2, 3, 3**2 * 5 * 49), (3, 2, 5 * 49), (5, 1, 49),
+    ]
 
 
 def test_exact_root():

@@ -111,6 +111,26 @@ def test_descend_wrong_exponent(capsys):
     assert "power" in capsys.readouterr().err
 
 
+def test_descend_explicit_exponent_matches_the_maximal_one(capsys):
+    # B_2 = 36 = 6^2: naming the exponent gives the default document
+    explicit = run_json(capsys, ["descend", "--b", "5", "--point", "20,90", "--m", "2", "--ell", "2"])
+    assert explicit == run_json(capsys, ["descend", "--b", "5", "--point", "20,90", "--m", "2"])
+    assert (explicit["datum"]["ell"], explicit["datum"]["w"]) == ("2", "6")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("gen --b 5 --point 20 --max-m 2", "error: expected X,Y rational coordinates, got '20'\n"),
+    ("descend --b 5 --point 20,90 --m 2 --ell 0", "error: --ell must be positive\n"),
+    ("descend --b 5 --point 20,90 --m 0", "error: --m must be positive\n"),
+    ("frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1 --prime 4", "error: --prime 4 is not prime\n"),
+    ("scan --b 5 --point 20,90 --max-m 0", "error: --max-m must be positive\n"),
+])
+def test_malformed_arguments_are_usage_errors(capsys, argv, err):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 def test_frey_document(capsys):
     doc = run_json(capsys, [
         "frey", "--a", "1", "--d", "5", "--u", "79", "--v", "6881",

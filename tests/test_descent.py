@@ -67,6 +67,10 @@ def test_decompose_validation(base_curve, base_seq):
         decompose(base_curve, EDSTerm(1, 0, 1, 0), 1, 1)  # the 2-torsion shape
     with pytest.raises(ArithmeticError):
         decompose(base_curve, EDSTerm(1, -20, 1, 90), 1, 1)  # A < 0 fails C^2 = A(A^2 + b)
+    # (1, 2) on b = 3 written over B = 2: C^2 = A(A^2 + b*B^4) holds, but
+    # u = 2, v = 8 and gcd(u, v) = 2 does not divide 3
+    with pytest.raises(ArithmeticError, match=r"gcd\(u, v\) does not divide b"):
+        decompose(make_curve_xb(3), EDSTerm(1, 4, 2, 16), 1, 2)
 
 
 def test_to_frey_and_construct(base_curve, base_seq):

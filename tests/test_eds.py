@@ -9,6 +9,7 @@ from edspower import (
     EDSTerm,
     HypothesisError,
     Point,
+    PrimitiveDivisors,
     Sequence,
     arith,
     check_strong_divisibility,
@@ -60,13 +61,17 @@ def test_net_leaves_no_reference_cycles(base_curve, base_point):
         gc.enable()
 
 
-def test_generate_validation(base_curve):
+def test_generate_validation(base_curve, base_seq):
     with pytest.raises(ValueError):
         generate(base_curve, Point(3, 7), 3)  # not on the curve
     with pytest.raises(HypothesisError):
         generate(base_curve, Point(0, 0), 3)  # 2-torsion
     with pytest.raises(ValueError):
         generate(base_curve, Point(20, 90), 0)
+    with pytest.raises(ValueError, match="index m must be positive"):
+        term(base_curve, Point(20, 90), 0)
+    with pytest.raises(ValueError, match=r"index 25 outside the generated range 1\.\.24"):
+        check_strong_divisibility(base_seq, 25, 5)
 
 
 def test_extend_matches_generate(base_curve, base_point):
@@ -122,7 +127,8 @@ def test_valuation_growth(base_seq):
 
 
 def test_primitive_divisors_known_sets(base_seq):
-    assert primitive_divisors(base_seq, 1).primes == frozenset()
+    # B_1 = 1 is factored like any term: factorize(1) is empty and complete
+    assert primitive_divisors(base_seq, 1) == PrimitiveDivisors(frozenset(), True)
     for m, expected in ((2, {2, 3}), (3, {11, 1789}), (4, {7, 79, 983}),
                         (5, {29, 401, 1109, 117041}), (6, {61, 97, 18445547})):
         pd = primitive_divisors(base_seq, m)

@@ -83,6 +83,10 @@ def test_construct_validation():
     with pytest.raises(ValueError):
         # gcd(u, v) = 2 does not divide a*d = 3
         construct(FreySolution(a=3, d=1, u=2, v=8, w=2, ell=1))
+    with pytest.raises(ValueError, match="a must be a positive integer"):
+        construct(FreySolution(a=0, d=5, u=79, v=6881, w=36, ell=1))
+    with pytest.raises(ValueError, match="ell must be a positive integer"):
+        construct(FreySolution(a=1, d=5, u=79, v=6881, w=36, ell=0))
 
 
 def test_construct_factors_a_last(monkeypatch):
@@ -175,3 +179,12 @@ def test_delta_valuation_identity_random():
                 val, ok = exponent_divisibility(F, P)
                 assert val == prime_valuation(F.delta, P)
                 assert ok == (val % sol.ell == 0)
+
+
+def test_exponent_divisibility_refuses_a_prime_of_another_field():
+    F = construct(FreySolution(a=5, d=1, u=11834, v=498029769, w=19679, ell=1))
+    with pytest.raises(ValueError, match="element and prime live in different fields"):
+        exponent_divisibility(F, primes_above(1, 7)[0])
+    # a prime of another field that is also in the bad set reports the bad set
+    with pytest.raises(ValueError, match=r"p = 5 is in the bad set \[2, 5\]"):
+        exponent_divisibility(F, primes_above(1, 5)[0])

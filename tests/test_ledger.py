@@ -10,6 +10,7 @@ from edspower import (
     EigenRecord,
     HypothesisError,
     Point,
+    Sequence,
     SplitType,
     arith,
     bad_set,
@@ -107,6 +108,8 @@ def test_find_k_p0_validation(base_curve, base_point, doubled_seq):
     integral = generate(base_curve, base_point, 1)
     with pytest.raises(HypothesisError):
         find_k_p0(integral, 2, {2, 5})
+    with pytest.raises(ValueError, match="sequence has no terms"):
+        find_k_p0(Sequence(base_curve, base_point, ()), 2, {2, 5})
 
 
 def test_find_k_p0_search_cap_exhausted(doubled_seq):

@@ -6,6 +6,7 @@ import pytest
 from edspower import (
     BudgetExhausted,
     QuadElement,
+    QuadPrime,
     SplitType,
     prime_valuation,
     primes_above,
@@ -40,6 +41,10 @@ def test_field_label_must_be_squarefree():
         primes_above(12, 7)[0].kind
     with pytest.raises(ValueError):
         primes_above(4, 7)
+    with pytest.raises(ValueError, match="a must be a positive integer"):
+        primes_above(0, 3)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        primes_above(5, 4)
     for a in (1, 30):
         primes_above(a, 3)
     for a in (12, 49):
@@ -210,6 +215,10 @@ def test_prime_valuation_rejections():
     two = primes_above(5, 2)[0]
     with pytest.raises(ValueError):
         prime_valuation(QuadElement(5, 1, 1), two)
+    # a ramified prime over an odd p not dividing a comes out of no primes_above
+    hand_built = QuadPrime(5, 7, SplitType.RAMIFIED, None, 7)
+    with pytest.raises(ValueError, match="ramified primes are out of scope"):
+        prime_valuation(QuadElement(5, 1, 1), hand_built)
 
 
 def test_element_display():
