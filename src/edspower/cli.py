@@ -2,12 +2,13 @@
 
 Subcommands: gen (sequence terms), scan (perfect-power report), descend
 (term decomposition), frey (curve invariants and reduction), ledger
-(exponent-bound report).  Each handler returns its result; main renders
-it once.  Output is a single JSON document per invocation with every
-integer rendered as a decimal string, so consumers are never exposed to
-64-bit truncation.  --table prints the same document as text: one
-`dotted.name: value` line per leaf, and a list of flat records (the gen
-terms, the scan hits) as an aligned table under its field names.
+(exponent-bound report).  Each handler returns its result; main writes
+its JSON text in one walk of it.  Output is a single JSON document per
+invocation with every integer rendered as a decimal string, so consumers
+are never exposed to 64-bit truncation.  --table parses that text and
+prints the same document as text: one `dotted.name: value` line per leaf,
+and a list of flat records (the gen terms, the scan hits) as an aligned
+table under its field names.
 
 Exit codes: 0 success, 2 usage or malformed input, 3 hypothesis violation
 (torsion or integral generator, term not a power), 4 factoring budget
@@ -20,8 +21,8 @@ import functools
 import json
 import re
 import sys
-from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import arith, descent, eds, frey, ledger, quadfield
 from .arith import Budget
@@ -49,31 +50,34 @@ def _parse_point(text: str) -> Point:
         raise ValueError(f"cannot parse point {text!r}: {exc}") from exc
 
 
-def _stringify(obj):
-    """The JSON form of a result, built in one walk.
+def _json(obj, pad: str = "\n") -> str:
+    """The JSON text of a result, in one walk, as json.dumps(indent=2) writes it.
 
-    Integers and rationals become decimal strings, an Enum its value, a set
-    a sorted list, a QuadElement {"x", "y", "display"}, and any other
-    dataclass an object read from vars(): every result is a dataclass whose
-    __dict__ holds exactly its fields, in field order.
+    pad is a newline and the indent of obj's line.  Integers and rationals
+    become decimal strings, an Enum its value (every Enum here is a str
+    Enum), a set a sorted list, a QuadElement {"x", "y", "display"}, and
+    any other dataclass an object read from vars(): every result is a
+    dataclass whose __dict__ holds exactly its fields, in field order.
+    Dict keys are str.
     """
-    if obj is None or isinstance(obj, bool):
-        return obj
+    if isinstance(obj, str):  # a str Enum too, whose text is its value
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, (int, Fraction)):
-        return str(obj)
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
+        return '"%s"' % obj
+    inner = pad + "  "
     if isinstance(obj, (set, frozenset)):
-        return [_stringify(v) for v in sorted(obj)]
+        obj = sorted(obj)
+    if isinstance(obj, (list, tuple)):
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if isinstance(obj, QuadElement):
-        return {"x": str(obj.x), "y": str(obj.y), "display": str(obj)}
-    return _stringify(vars(obj))
+        obj = {"x": obj.x, "y": obj.y, "display": str(obj)}
+    elif not isinstance(obj, dict):
+        obj = vars(obj)
+    items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
+    return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
 
 
 def _leaf(value) -> str:
@@ -81,7 +85,7 @@ def _leaf(value) -> str:
 
 
 def _table_lines(node, name: str = ""):
-    """The --table text of a _stringify result, in document order."""
+    """The --table text of a parsed JSON document, in document order."""
     if isinstance(node, list) and node and all(
         isinstance(r, dict) and r.keys() == node[0].keys()
         and not any(isinstance(v, (dict, list)) for v in r.values())
@@ -289,12 +293,12 @@ def main(argv: list[str] | None = None) -> int:
         except tuple(_EXIT_CODES) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
-        document = _stringify(result)
         if args.table:
-            print("\n".join(_table_lines(document)))
+            print("\n".join(_table_lines(json.loads(_json(result)))))
         else:
-            print(json.dumps({"tool": "edspower", "command": args.command,
-                              "integer_encoding": "decimal string", **document}, indent=2))
+            fields = result if isinstance(result, dict) else vars(result)
+            print(_json({"tool": "edspower", "command": args.command,
+                         "integer_encoding": "decimal string", **fields}))
         return 0
     finally:
         if limit is not None:

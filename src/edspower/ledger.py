@@ -11,11 +11,11 @@ eigenvalue table sharpens the envelope to the exact maximum of
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import isqrt
 
-from . import arith, eds, frey
+from . import arith, frey
 from .arith import DEFAULT_BUDGET, Budget
 from .curve import Curve, Point, net
 from .eds import Sequence
@@ -150,8 +150,14 @@ def find_k_p0(
     if B1 == 1:
         raise HypothesisError("generator is integral (B_1 = 1); a divisor q | B_1 is required")
     _check_index_search(B1, q, search_cap)
+    return _walk_indices(net(s.curve, s.generator), B1, q, T, search_cap, budget)
+
+
+def _walk_indices(
+    f: Callable[[int], tuple[int, int, int]], B1: int, q: int, T: set[int], search_cap: int, budget: Budget,
+) -> tuple[int, int, tuple[int, ...]]:
+    """find_k_p0's walk over the indices q, q^2, ... on the net f, once its checks have passed."""
     v1 = arith.valuation(B1, q)
-    f = net(s.curve, s.generator)
     incomplete = []
     B_prev, j = B1, 1
     while q**j <= search_cap:
@@ -274,16 +280,16 @@ def build_report(
     b = curve.b
     if c_config < 1:
         raise ValueError("c_config must be a positive integer")
-    # generating B_1 checks the generator: on the curve, affine, not torsion
-    s = eds.generate(curve, generator, 1)
-    B1 = s.terms[0].B
+    # building the net checks the generator: on the curve, not torsion
+    f = net(curve, generator)
+    B1 = f(1)[1]
     if B1 == 1:
         raise HypothesisError("generator is integral (B_1 = 1); the bound needs B_1 > 1")
     # before 2b is factored, so a usage slip is not reported as an exhausted budget
     _check_index_search(B1, q, search_cap)
 
     T = frey.bad_set(1, b, budget)
-    k, p0, incomplete = find_k_p0(s, q, T, search_cap, budget)
+    k, p0, incomplete = _walk_indices(f, B1, q, T, search_cap, budget)
 
     thr = threshold(k, b, c_config, p0)
     # the squarefree divisors of b, from the primes of T that divide it

@@ -1,6 +1,8 @@
 """Slow reference computations the tests compare against."""
 from __future__ import annotations
 
+from enum import Enum
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -294,3 +296,30 @@ def invariants_oracle(F) -> None:
     for want, z in ((a2, F.a2_coeff), (a4, F.a4_coeff), (disc, F.delta), (c4, F.c4)):
         if sympy.expand(want - z.x - z.y * r) != 0:
             raise ArithmeticError(f"the generic formulas disagree with the stored {z}")
+
+
+def stringify_oracle(obj):
+    """The JSON form of a result as a tree of str, list, dict, bool and None.
+
+    Integers and rationals become decimal strings, an Enum its value, a set
+    a sorted list, a QuadElement {"x", "y", "display"}, and any other
+    dataclass an object read from vars().  json.dumps(..., indent=2) of this
+    tree is the reference for the CLI's one-walk writer.
+    """
+    if obj is None or isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (int, Fraction)):
+        return str(obj)
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, str):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [stringify_oracle(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: stringify_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (set, frozenset)):
+        return [stringify_oracle(v) for v in sorted(obj)]
+    if isinstance(obj, QuadElement):
+        return {"x": str(obj.x), "y": str(obj.y), "display": str(obj)}
+    return stringify_oracle(vars(obj))

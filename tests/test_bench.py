@@ -35,3 +35,24 @@ def test_bench_sequence_items_pass_their_checks(monkeypatch):
         for name, module in list(sys.modules.items()):
             if Path(getattr(module, "__file__", None) or ROOT).parent == BENCH:
                 del sys.modules[name]
+
+
+def test_bench_ledger_items_pass_their_checks(monkeypatch):
+    # the seed-1 ledger items of edsbench/run.py (ledger, descend and frey
+    # documents written by cli.main), each run once and checked in process
+    # by the benchmark's own readers of the JSON; no bytecode is written
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", [str(BENCH), *sys.path])
+    spec = importlib.util.spec_from_file_location("edsbench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    try:
+        spec.loader.exec_module(run)
+        items = run.setup_ledger(1, run.NO_TRACE)
+        assert {item.kind for item in items} == {"ledger", "descend", "frey"}
+        for item in items:
+            item.check(item.run(run.NO_TRACE))
+    finally:  # the bench's own modules (checks, inputs, ...) leave with it
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or ROOT).parent == BENCH:
+                del sys.modules[name]

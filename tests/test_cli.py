@@ -19,8 +19,11 @@ from edspower import (
     generate,
     make_curve_xb,
 )
-from edspower.cli import _parse_point, build_parser, main
+from edspower.cli import _json, _parse_point, build_parser, main
+from edspower.frey import Reduction
 from edspower.ledger import CandidateField, LevelEntry
+from edspower.quadfield import QuadElement, SplitType
+from helpers import stringify_oracle
 
 
 def field_names(cls):
@@ -370,6 +373,13 @@ GOLDEN = [
     ("frey --a 19342813116668607771809189 --d 6597069767140 --u 1 --v 4398046511427 --w 1 --ell 1 "
      "--rho-iterations 20000000 --prime 3",
      0, "", "cfb1634fb153a7286c9e674d14ab3ed6f4c51f406b19ca85a663038e437909fd"),
+    # --table renders the parsed JSON text: records as an aligned table, the rest as dotted names
+    ("ledger --b 5 --point {2P} --q 2 --c-config 100 --table",
+     0, "", "88ba8b1ab60fa62c28000f0c36ead53df77c5bbba8154a026e71ab26ad0e2d28"),
+    ("descend --b 5 --point 20,90 --m 3 --table",
+     0, "", "6ba7a6139666f8a6be985dcac39ff13aeb5d3db4c374fb99846ed459d5ef89a8"),
+    ("gen --b 5 --point 20,90 --max-m 4 --table",
+     0, "", "0d2138df24c740645e1852c80696f062146749208a52d79bf60f2b800dd80476"),
 ]
 
 
@@ -416,3 +426,35 @@ def test_table_renders_every_json_value(capsys, tmp_path, command):
         del doc[key]
     missing = [leaf for leaf in _leaf_strings(doc) if leaf not in table]
     assert not missing
+
+
+def assert_writer_matches_oracle(result):
+    # decimal strings of any length, as main allows for the call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert _json(result) == json.dumps(stringify_oracle(result), indent=2)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command", [g[0] for g in GOLDEN if g[1] == 0],
+                         ids=["_".join(g[0].split()) for g in GOLDEN if g[1] == 0])
+def test_json_writer_matches_the_oracle_on_golden_results(tmp_path, command):
+    args = build_parser().parse_args(golden_argv(command, tmp_path))
+    assert_writer_matches_oracle(args.handler(args))
+
+
+def test_json_writer_matches_the_oracle_on_every_leaf_kind():
+    assert_writer_matches_oracle({
+        "empty": ((), {}, frozenset(), []),
+        "literals": [None, True, False],
+        "numbers": (0, -7, 10**40, Fraction(-3, 8), Fraction(6, 2), frozenset({12, -3, 5})),
+        "enums": [SplitType.SPLIT, Reduction.MULTIPLICATIVE],
+        "elements": (QuadElement(5, 3, -2), QuadElement(1, 4, 2), QuadElement(7, 0)),
+        "strings": ['say "hi"', "back\\slash", "two\nlines", "tab\tand \u00e9 \u221a \U0001d53d", ""],
+        "nested": {"term": EDSTerm(2, 6241, 36, 543599), "deeper": {"x": [{}, [[]], {"y": ()}]}},
+        'key "quoted" \u00e9': "value",
+    })

@@ -15,6 +15,7 @@ from edspower import (
     arith,
     bad_set,
     build_report,
+    curve,
     envelope_bound,
     find_k_p0,
     generate,
@@ -255,13 +256,29 @@ def test_build_report_known_values(doubled_report, base_curve, doubled_point):
 
 def test_build_report_caveat_names_every_incomplete_index(base_curve, doubled_point, monkeypatch):
     # widen T so the search passes two unfactored indices before it stops
-    real = ledger.find_k_p0
-    monkeypatch.setattr(ledger, "find_k_p0", lambda s, q, T, *rest: real(s, q, T | {3, 7, 11, 61}, *rest))
+    real = ledger.frey.bad_set
+    monkeypatch.setattr(ledger.frey, "bad_set", lambda *a: real(*a) | {3, 7, 11, 61})
     small = Budget(trial_bound=10, rho_iterations=16)
     r = build_report(base_curve, doubled_point, 3, 100, budget=small)
     assert (r.k, r.p0) == (5, 107)
     note = next(c for c in r.caveats if "incomplete" in c)
     assert "indices 3, 9, 27;" in note and "k or p0 may not be the least" in note
+
+
+def test_build_report_builds_one_net(base_curve, doubled_point, monkeypatch):
+    # net checks its point with curve.on_curve, looked up at call time: one
+    # call means B_1 and the index terms come off one net of the generator
+    real = curve.on_curve
+    calls = []
+
+    def spy(c, P):
+        calls.append(P)
+        return real(c, P)
+
+    monkeypatch.setattr(curve, "on_curve", spy)
+    r = build_report(base_curve, doubled_point, 2, 100)
+    assert (r.k, r.p0) == (3, 7)
+    assert calls == [doubled_point]
 
 
 def test_build_report_walk_does_not_factor_the_index_term(base_curve, doubled_point, monkeypatch):
