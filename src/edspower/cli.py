@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import arith, descent, eds, frey, ledger, quadfield
 from .arith import Budget
-from .curve import Curve, Point, make_curve_xb
+from .curve import Curve, Point
 from .errors import BudgetExhausted, HypothesisError
 from .frey import FreySolution
 from .quadfield import QuadElement
@@ -103,12 +103,8 @@ def _table_lines(node, name: str = ""):
     yield f"{name}: {_leaf(node)}"
 
 
-def _curve_and_point(args: argparse.Namespace) -> tuple[Curve, Point]:
-    return make_curve_xb(args.b), _parse_point(args.point)
-
-
 def _cmd_gen(args: argparse.Namespace) -> dict:
-    c, P = _curve_and_point(args)
+    c, P = Curve(args.b), _parse_point(args.point)
     if args.max_m < 1:
         raise ValueError("--max-m must be positive")
     s = eds.generate(c, P, args.max_m)
@@ -116,7 +112,7 @@ def _cmd_gen(args: argparse.Namespace) -> dict:
 
 
 def _cmd_scan(args: argparse.Namespace) -> dict:
-    c, P = _curve_and_point(args)
+    c, P = Curve(args.b), _parse_point(args.point)
     if args.max_m < 1:
         raise ValueError("--max-m must be positive")
     s = eds.generate(c, P, args.max_m)
@@ -148,7 +144,7 @@ def _descend_exponent(B: int, ell_arg: int | None) -> tuple[int, int]:
 
 def _cmd_descend(args: argparse.Namespace) -> dict:
     budget = Budget(args.trial_bound, args.rho_iterations)
-    c, P = _curve_and_point(args)
+    c, P = Curve(args.b), _parse_point(args.point)
     if args.m < 1:
         raise ValueError("--m must be positive")
     t = eds.term(c, P, args.m)
@@ -169,14 +165,14 @@ def _cmd_frey(args: argparse.Namespace) -> dict:
     F = frey.construct(sol, budget)
     # the curve's fields in order, with the field's name placed after the
     # solution (a repeated key keeps its first position)
-    payload = {"solution": sol, "field": f"Q(sqrt({F.field_label}))", **vars(F)}
+    payload = {"solution": sol, "field": f"Q(sqrt({F.solution.a}))", **vars(F)}
     if args.prime is not None:
         p = args.prime
         if p < 2 or not arith.is_probable_prime(p):
             raise ValueError(f"--prime {p} is not prime")
         ideals = []
         # construct has checked the label, so it is not factored again
-        for qp in quadfield._primes_above(F.field_label, p):
+        for qp in quadfield._primes_above(F.solution.a, p):
             red = frey.classify_reduction(F, qp)
             val, ok = frey.exponent_divisibility(F, qp)
             ideals.append({
@@ -193,7 +189,7 @@ def _cmd_frey(args: argparse.Namespace) -> dict:
 
 def _cmd_ledger(args: argparse.Namespace) -> ledger.LedgerReport:
     budget = Budget(args.trial_bound, args.rho_iterations)
-    c, P = _curve_and_point(args)
+    c, P = Curve(args.b), _parse_point(args.point)
     table = None
     if args.eigen_table is not None:
         try:
@@ -305,9 +301,5 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

@@ -48,7 +48,7 @@ def decompose(c: Curve, t: EDSTerm, ell: int, w: int, budget: Budget = DEFAULT_B
         raise HypothesisError("term comes from the 2-torsion point (0, 0)")
     if w**ell != t.B:
         raise ValueError(f"w^ell = {w**ell} does not equal B = {t.B}")
-    if t.C * t.C != t.A * (t.A * t.A + b * w ** (4 * ell)):
+    if t.C * t.C != t.A * (t.A * t.A + b * t.B**4):
         raise ArithmeticError("term fails C^2 = A(A^2 + b*B^4)")
 
     # the check above rejects A < 0 and, as A = a*u^2 with a squarefree, gives

@@ -50,10 +50,6 @@ class FreyCurve:
     c4: QuadElement
     bad_primes: frozenset[int]
 
-    @property
-    def field_label(self) -> int:
-        return self.solution.a
-
 
 def bad_set(a: int, d: int, budget: Budget = DEFAULT_BUDGET) -> set[int]:
     """The rational primes dividing 2*a*d."""

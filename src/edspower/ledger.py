@@ -114,7 +114,9 @@ def _least_primitive(B: int, B_prev: int, T: set[int], budget: Budget) -> tuple[
 
 
 def _check_index_search(B1: int, q: int, search_cap: int) -> None:
-    """The checks on q and search_cap that find_k_p0 makes before it walks any index."""
+    """The checks on B_1, q and search_cap that find_k_p0 makes before it walks any index."""
+    if B1 == 1:
+        raise HypothesisError("generator is integral (B_1 = 1); the bound needs B_1 > 1")
     if q < 2 or not arith.is_probable_prime(q):
         raise ValueError(f"q = {q} is not prime")
     if search_cap < q:
@@ -146,11 +148,8 @@ def find_k_p0(
     """
     if not s.terms:
         raise ValueError("sequence has no terms")
-    B1 = s.terms[0].B
-    if B1 == 1:
-        raise HypothesisError("generator is integral (B_1 = 1); a divisor q | B_1 is required")
-    _check_index_search(B1, q, search_cap)
-    return _walk_indices(net(s.curve, s.generator), B1, q, T, search_cap, budget)
+    _check_index_search(s.terms[0].B, q, search_cap)
+    return _walk_indices(net(s.curve, s.generator), s.terms[0].B, q, T, search_cap, budget)
 
 
 def _walk_indices(
@@ -235,7 +234,7 @@ def load_eigenvalue_table(lines) -> list[EigenRecord]:
     return records
 
 
-def _exact_bound(fields: tuple[CandidateField, ...], p0: int, table: list[EigenRecord]) -> int | None:
+def _exact_bound(fields: tuple[CandidateField, ...], p0: int, table: Iterable[EigenRecord]) -> int | None:
     """max over forms and signs of |N + 1 +- a_p| at the prime over p0.
 
     Level tags are opaque, so each record is applied to every candidate
@@ -257,8 +256,8 @@ def _exact_bound(fields: tuple[CandidateField, ...], p0: int, table: list[EigenR
         usable = [r for r in relevant if r.a_p * r.a_p <= 4 * N]
         if not usable:
             return None
-        for r in usable:
-            best = max(best, abs(N + 1 + r.a_p), abs(N + 1 - r.a_p))
+        # |a_p| <= 2*sqrt(N) <= N + 1, so the larger of |N + 1 +- a_p| is N + 1 + |a_p|
+        best = max(best, N + 1 + max(abs(r.a_p) for r in usable))
     return best
 
 
@@ -283,8 +282,6 @@ def build_report(
     # building the net checks the generator: on the curve, not torsion
     f = net(curve, generator)
     B1 = f(1)[1]
-    if B1 == 1:
-        raise HypothesisError("generator is integral (B_1 = 1); the bound needs B_1 > 1")
     # before 2b is factored, so a usage slip is not reported as an exhausted budget
     _check_index_search(B1, q, search_cap)
 
@@ -315,9 +312,7 @@ def build_report(
             f"{', '.join(map(str, incomplete))}; (k, p0) = ({k}, {p0}) is valid "
             "but k or p0 may not be the least"
         )
-    exact = None
-    if eigen_table is not None:
-        exact = _exact_bound(tuple(fields), p0, eigen_table)
+    exact = _exact_bound(tuple(fields), p0, eigen_table or ())
     if exact is None:
         caveats.append(
             "exponent bound is the Ramanujan-Petersson envelope; exact maxima need "

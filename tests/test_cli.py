@@ -1,9 +1,11 @@
 import argparse
 import hashlib
+import importlib
 import json
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +92,25 @@ def test_point_text_round_trips():
 def test_scan_document(capsys):
     doc = run_json(capsys, ["scan", "--b", "5", "--point", "20,90", "--max-m", "10"])
     assert doc["hits"] == [{"m": "2", "ell": "2", "w": "6"}]
+
+
+def test_console_script_target_returns_the_exit_code(capsys, monkeypatch):
+    # the installed script calls sys.exit(target()), so the target returns the code
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["edspower"]
+    module, name = target.split(":")
+    entry = getattr(importlib.import_module(module), name)
+    argv = ["scan", "--b", "5", "--point", "20,90", "--max-m", "10"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["edspower", *argv])
+    assert entry() == 0
+    assert capsys.readouterr().out == expected
+    assert json.loads(expected)["command"] == "scan"
+    monkeypatch.setattr(sys, "argv", ["edspower", *argv[:-1], "0"])
+    assert entry() == 2
+    assert "--max-m must be positive" in capsys.readouterr().err
 
 
 def test_descend_document(capsys):

@@ -193,13 +193,15 @@ def test_net_sheds_the_excess_of_singular_reduction():
     # terms 1..40 against the oracle, and every memoised net value within a few
     # words of B_n (unscaled, W_40 of (100, (20, 100)) carries about 2,600 bits more).
     # Random access too, on fresh nets and out of order on one: the net keeps
-    # only the squares of V_{m-1} .. V_{m+1}, none of the unscaled W_5 .. W_7
+    # only the squares of V_{m-1} .. V_{m+1}.  A new net's memo holds the seeds
+    # alone, so no unscaled W_5 .. W_7 from finding H is left in it
     assert net(make_curve_xb(128), Point(32, 192)).args[1] == 2**42
     for b, x, y in [(100, 20, 100), (196, 98, 980), (80, 80, 720), (18, 6, 18), (15, 15, 60), (5, 20, 90),
                     (19342813116668607771809189, Fraction(1, 4), Fraction(17592186045705, 8)),
                     (128, 32, 192), (163, 81, 738)]:
         c, P = make_curve_xb(b), Point(x, y)
         f = net(c, P)
+        assert sorted(f.args[0]) == [-1, 0, 1, 2, 3, 4], (b, x, y)
         terms = [f(n) for n in range(1, 41)]
         assert terms == multiples_oracle(c, P, 40), (b, x, y)
         memo = f.args[0]

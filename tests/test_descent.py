@@ -81,7 +81,7 @@ def test_to_frey_and_construct(base_curve, base_seq):
         assert (sol.a, sol.d) == (d.a, d.b // d.a)
         assert (sol.u, sol.v, sol.w, sol.ell) == (d.u, d.v, d.w, d.ell)
         F = construct(sol)  # validates the quartic again
-        assert F.field_label == d.a
+        assert F.solution.a == d.a
 
 
 def _split_over_divisors(b, A):

@@ -46,7 +46,7 @@ def test_construct_known_instance():
     assert F.delta == QuadElement(1, -56422198149120, 0)
     assert F.c4 == QuadElement(1, 337984, 0)
     assert F.bad_primes == frozenset({2, 5})
-    assert F.field_label == 1
+    assert F.solution.a == 1
 
 
 def test_construct_minimal_instance():

@@ -107,7 +107,7 @@ def test_find_k_p0_validation(base_curve, base_point, doubled_seq):
     with pytest.raises(ValueError):
         find_k_p0(doubled_seq, 4, {2, 5})
     integral = generate(base_curve, base_point, 1)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match="the bound needs B_1 > 1"):
         find_k_p0(integral, 2, {2, 5})
     with pytest.raises(ValueError, match="sequence has no terms"):
         find_k_p0(Sequence(base_curve, base_point, ()), 2, {2, 5})
