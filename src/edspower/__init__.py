@@ -49,20 +49,7 @@ from .quadfield import QuadElement, QuadPrime, SplitType, prime_valuation, prime
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Budget", "DEFAULT_BUDGET", "Factorization", "exact_root", "factorize",
-    "is_probable_prime", "perfect_power", "valuation",
-    "Curve", "Point", "is_torsion", "make_curve_xb", "mul", "on_curve",
-    "EDSTerm", "PrimitiveDivisors", "Sequence", "check_strong_divisibility",
-    "check_valuation_growth", "extend", "generate", "primitive_divisors",
-    "scan_powers", "term",
-    "QuadElement", "QuadPrime", "SplitType", "prime_valuation", "primes_above",
-    "FreyCurve", "FreySolution", "Reduction", "bad_set", "classify_reduction",
-    "construct", "exponent_divisibility",
-    "DescentDatum", "decompose", "to_frey",
-    "EigenRecord", "EnvelopeBound", "LedgerReport", "LevelSupport",
-    "build_report", "envelope_bound", "find_k_p0", "level_support",
-    "load_eigenvalue_table", "threshold",
-    "BudgetExhausted", "HypothesisError",
-    "__version__",
-]
+# every class, function and instance imported above carries the name of its
+# defining module; submodules and this module's own dunder names carry none
+__all__ = [n for n, v in globals().items() if getattr(v, "__module__", "").startswith("edspower.")]
+__all__.append("__version__")

@@ -233,7 +233,7 @@ def valuation(n: int, p: int) -> int:
     """Largest e with p**e dividing n.  Requires p prime and n nonzero."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
-    if p < 2 or not is_probable_prime(p):
+    if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     n = abs(n)
     e = 0
@@ -244,17 +244,13 @@ def valuation(n: int, p: int) -> int:
 
 
 def _floor_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, by integer Newton iteration.
+    """floor(n ** (1/k)) for n >= 1, k >= 1, by integer Newton iteration.
 
     Newton started at or above the root stays there (by AM-GM) and falls
     while above it, so it stops exactly at the floor.
     """
-    if k == 1 or n < 2:
-        return n
     if k == 2:
         return isqrt(n)
-    if n.bit_length() <= k:
-        return 1
     x = 1 << -(-n.bit_length() // k)  # >= true root
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

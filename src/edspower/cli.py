@@ -168,7 +168,7 @@ def _cmd_frey(args: argparse.Namespace) -> dict:
     payload = {"solution": sol, "field": f"Q(sqrt({F.solution.a}))", **vars(F)}
     if args.prime is not None:
         p = args.prime
-        if p < 2 or not arith.is_probable_prime(p):
+        if not arith.is_probable_prime(p):
             raise ValueError(f"--prime {p} is not prime")
         ideals = []
         # construct has checked the label, so it is not factored again
@@ -187,7 +187,7 @@ def _cmd_frey(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _cmd_ledger(args: argparse.Namespace) -> ledger.LedgerReport:
+def _cmd_ledger(args: argparse.Namespace) -> dict:
     budget = Budget(args.trial_bound, args.rho_iterations)
     c, P = Curve(args.b), _parse_point(args.point)
     table = None
@@ -197,10 +197,10 @@ def _cmd_ledger(args: argparse.Namespace) -> ledger.LedgerReport:
                 table = ledger.load_eigenvalue_table(fh)
         except OSError as exc:
             raise ValueError(f"cannot read eigenvalue table: {exc}") from exc
-    return ledger.build_report(
+    return vars(ledger.build_report(
         c, P, args.q, args.c_config,
         budget=budget, search_cap=args.search_cap, eigen_table=table,
-    )
+    ))
 
 
 @functools.cache
@@ -292,9 +292,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.table:
             print("\n".join(_table_lines(json.loads(_json(result)))))
         else:
-            fields = result if isinstance(result, dict) else vars(result)
             print(_json({"tool": "edspower", "command": args.command,
-                         "integer_encoding": "decimal string", **fields}))
+                         "integer_encoding": "decimal string", **result}))
         return 0
     finally:
         if limit is not None:

@@ -6,8 +6,9 @@ v_q(B_1)) gains a primitive divisor p0 outside T, the threshold max{k, 2b,
 C_config, p0, 5}, and, per candidate field Q(sqrt(a)) for squarefree a | b,
 the splitting of p0, the envelope bound (sqrt(N)+1)^2 on the surviving
 exponents, and the size of the lowered-level search space.  An optional
-eigenvalue table sharpens the envelope to the exact maximum of
-|N + 1 +- a_p| over the supplied eigenforms.
+eigenvalue table sharpens the envelope to an exact bound: per field, the
+largest N + 1 + |a_p| (the larger of |N + 1 +- a_p|) over the field's
+usable records at p0, and then the largest of these over the fields.
 """
 from __future__ import annotations
 
@@ -117,7 +118,7 @@ def _check_index_search(B1: int, q: int, search_cap: int) -> None:
     """The checks on B_1, q and search_cap that find_k_p0 makes before it walks any index."""
     if B1 == 1:
         raise HypothesisError("generator is integral (B_1 = 1); the bound needs B_1 > 1")
-    if q < 2 or not arith.is_probable_prime(q):
+    if not arith.is_probable_prime(q):
         raise ValueError(f"q = {q} is not prime")
     if search_cap < q:
         raise ValueError(f"search_cap = {search_cap} is below q = {q}; no index to try")
@@ -243,8 +244,6 @@ def _exact_bound(fields: tuple[CandidateField, ...], p0: int, table: Iterable[Ei
     candidate field has no applicable record (the envelope bound stands).
     """
     relevant = [r for r in table if r.p == p0]
-    if not relevant:
-        return None
     for r in relevant:
         if all(r.a_p * r.a_p > 4 * f.envelope.residue_norm for f in fields):
             raise ValueError(

@@ -127,9 +127,8 @@ def primes_above(a: int, p: int) -> list[QuadPrime]:
     """The primes of Q(sqrt(a)) over p, split ones with their roots mod p."""
     if not isinstance(a, int) or a < 1:
         raise ValueError("a must be a positive integer")
-    if a > 1:
-        _require_squarefree(a, arith.factorize(a))
-    if p < 2 or not arith.is_probable_prime(p):
+    _require_squarefree(a, arith.factorize(a))
+    if not arith.is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     return _primes_above(a, p)
 

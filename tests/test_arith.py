@@ -121,6 +121,10 @@ def test_valuation():
         valuation(0, 2)
     with pytest.raises(ValueError):
         valuation(12, 4)
+    # numbers below 2 are refused by the primality test, with the same message
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            valuation(8, p)
 
 
 def test_floor_root_matches_bisection():
@@ -148,6 +152,11 @@ def test_floor_root_matches_bisection_to_2048_bits():
         k = rng.randrange(2, 65)
         w = rng.randrange(2, 1 << max(2, 2048 // k))
         for n in (w**k - 1, w**k, w**k + 1):
+            assert _floor_root(n, k) == iroot_oracle(n, k), (n, k)
+    # n = 1, and every n of exactly k bits, whose root is 1: Newton takes
+    # them from its start 1 << ceil(bits(n)/k) like any other input
+    for k in range(1, 65):
+        for n in (1, 1 << (k - 1), (1 << k) - 1):
             assert _floor_root(n, k) == iroot_oracle(n, k), (n, k)
 
 

@@ -148,6 +148,11 @@ def test_descend_explicit_exponent_matches_the_maximal_one(capsys):
     ("descend --b 5 --point 20,90 --m 0", "error: --m must be positive\n"),
     ("frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1 --prime 4", "error: --prime 4 is not prime\n"),
     ("scan --b 5 --point 20,90 --max-m 0", "error: --max-m must be positive\n"),
+    ("frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1 --prime 1", "error: --prime 1 is not prime\n"),
+    ("frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1 --prime 0", "error: --prime 0 is not prime\n"),
+    ("frey --a 1 --d 5 --u 79 --v 6881 --w 36 --ell 1 --prime -3", "error: --prime -3 is not prime\n"),
+    # 2*(20, 90), so B_1 = 36 > 1 and q is the first check that fails
+    ("ledger --b 5 --point 6241/1296,543599/46656 --q 1 --c-config 100", "error: q = 1 is not prime\n"),
 ])
 def test_malformed_arguments_are_usage_errors(capsys, argv, err):
     assert main(argv.split()) == 2

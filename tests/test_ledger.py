@@ -106,6 +106,8 @@ def test_find_k_p0_validation(base_curve, base_point, doubled_seq):
         find_k_p0(doubled_seq, 7, {2, 5})  # 7 does not divide B_1 = 36
     with pytest.raises(ValueError):
         find_k_p0(doubled_seq, 4, {2, 5})
+    with pytest.raises(ValueError, match="^q = 1 is not prime$"):
+        find_k_p0(doubled_seq, 1, {2, 5})
     integral = generate(base_curve, base_point, 1)
     with pytest.raises(HypothesisError, match="the bound needs B_1 > 1"):
         find_k_p0(integral, 2, {2, 5})
@@ -343,7 +345,7 @@ def test_exact_bound_policies(base_curve, doubled_point):
 
     # widest usable record wins: |49 + 1 - (-3)| = 53
     assert exact_bound([EigenRecord("L", 0, 7, 0), EigenRecord("L", 1, 7, -3)]) == 53
-    # a_p = 5 exceeds 2*sqrt(7) in the rational field but fits N = 49
+    # a_p = 5 fits both fields (25 <= 4*7): 7 + 1 + 5 = 13 in Q, 49 + 1 + 5 = 55 in Q(sqrt(5))
     assert exact_bound([EigenRecord("L", 0, 7, 0), EigenRecord("L", 1, 7, 5)]) == 55
     # no record usable for the rational field: coverage gap, envelope stands
     assert exact_bound([EigenRecord("L", 0, 7, 10)]) is None

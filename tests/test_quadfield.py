@@ -45,6 +45,9 @@ def test_field_label_must_be_squarefree():
         primes_above(0, 3)
     with pytest.raises(ValueError, match="4 is not prime"):
         primes_above(5, 4)
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            primes_above(5, p)
     for a in (1, 30):
         primes_above(a, 3)
     for a in (12, 49):
