@@ -178,18 +178,19 @@ def _brent_rho(n: int, budget_box: list[int], rng: random.Random) -> int | None:
 
 
 def rho_factors(m: int, budget: Budget) -> tuple[dict[int, int], int]:
-    """Split m > 1 by Brent-variant Pollard rho under budget.rho_iterations.
+    """Split m >= 1 by Brent-variant Pollard rho under budget.rho_iterations.
 
     Returns (factors, cofactor): the primes found with their exponents and
-    the product of the parts the budget left unsplit (1 when none).  Meant
-    for the cofactor trial division leaves, so it does no trial division.
-    Only rho steps are charged to the budget: the Miller-Rabin test on each
-    piece is not, so a small budget bounds the steps, not the time.
+    the product of the parts the budget left unsplit (1 when none), so
+    m = 1 gives ({}, 1).  Meant for the cofactor trial division leaves, 1
+    included, so it does no trial division.  Only rho steps are charged to
+    the budget: the Miller-Rabin test on each piece is not, so a small
+    budget bounds the steps, not the time.
     """
     factors: dict[int, int] = {}
     cofactor = 1
     budget_box = [budget.rho_iterations]
-    stack: list[tuple[int, int]] = [(m, 1)]
+    stack: list[tuple[int, int]] = [(m, 1)] if m > 1 else []
     while stack:
         comp, mult = stack.pop()
         if is_probable_prime(comp):
@@ -222,10 +223,8 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
     rest = abs(n)
     for p, e, rest in trial_factors(rest, budget.trial_bound):
         factors[p] = e
-    cofactor = 1
-    if rest > 1:
-        found, cofactor = rho_factors(rest, budget)
-        factors.update(found)
+    found, cofactor = rho_factors(rest, budget)
+    factors.update(found)
     return Factorization(factors, cofactor)
 
 
@@ -246,8 +245,11 @@ def valuation(n: int, p: int) -> int:
 def _floor_root(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 1, k >= 1, by integer Newton iteration.
 
-    Newton started at or above the root stays there (by AM-GM) and falls
-    while above it, so it stops exactly at the floor.
+    Precondition for bounded work: k < bits(n), which exact_root ensures.
+    The root is then at least 1, and from the start 2^ceil(bits(n)/k) no
+    step builds a power above n**2; with k >= bits(n) the first step
+    divides by 2^(k-1).  Newton started at or above the root stays there
+    (by AM-GM) and falls while above it, so it stops exactly at the floor.
     """
     if k == 2:
         return isqrt(n)
@@ -261,12 +263,17 @@ def _floor_root(n: int, k: int) -> int:
 
 
 def exact_root(n: int, ell: int) -> int | None:
-    """The integer w with w**ell = n, or None if n is not an exact power."""
+    """The integer w with w**ell = n, or None if n is not an exact power.
+
+    Defined for n >= 1 and ell >= 1; exact_root(n, 1) is n.  Once
+    ell >= bits(n) the root lies below 2, so the answer (1 for n = 1, else
+    None) comes in O(1), without building a power of size ell.
+    """
     if n < 1:
         raise ValueError("exact_root requires n >= 1")
-    if ell < 2:
-        raise ValueError("exact_root requires ell >= 2")
-    r = _floor_root(n, ell)
+    if ell < 1:
+        raise ValueError("exact_root requires ell >= 1")
+    r = _floor_root(n, ell) if ell < n.bit_length() else 1
     return r if r**ell == n else None
 
 
@@ -316,10 +323,11 @@ def perfect_power(n: int) -> tuple[int, int] | None:
     arbiter: it runs on every q the witnesses leave standing, so the answer
     is exact.  A root of n is a q-th power only if n is, so the primes, from
     a list kept between calls, are walked once.  The returned base is itself
-    not a perfect power and the exponent is the largest possible.
+    not a perfect power and the exponent is the largest possible.  n = 1
+    is no w**ell with w > 1, so perfect_power(1) is None.
     """
-    if n <= 1:
-        raise ValueError("perfect_power requires n > 1")
+    if n < 1:
+        raise ValueError("perfect_power requires n >= 1")
     base, exp = n, 1
     for q in _primes_through(n.bit_length()):
         if q > base.bit_length():

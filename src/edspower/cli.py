@@ -129,16 +129,13 @@ def _descend_exponent(B: int, ell_arg: int | None) -> tuple[int, int]:
     if ell_arg is not None:
         if ell_arg < 1:
             raise ValueError("--ell must be positive")
-        if ell_arg == 1:
-            return 1, B
         w = arith.exact_root(B, ell_arg)
         if w is None:
             raise HypothesisError(f"B = {B} is not a perfect power with exponent {ell_arg}")
         return ell_arg, w
-    if B > 1:
-        pp = arith.perfect_power(B)
-        if pp is not None:
-            return pp[1], pp[0]
+    pp = arith.perfect_power(B)
+    if pp is not None:
+        return pp[1], pp[0]
     return 1, B
 
 

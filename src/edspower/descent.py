@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
-from .arith import DEFAULT_BUDGET, Budget, valuation
+from .arith import DEFAULT_BUDGET, Budget, exact_root, valuation
 from .curve import Curve
 from .eds import EDSTerm
 from .errors import HypothesisError
@@ -46,8 +46,8 @@ def decompose(c: Curve, t: EDSTerm, ell: int, w: int, budget: Budget = DEFAULT_B
         raise ValueError("ell and w must be positive integers")
     if t.A == 0:
         raise HypothesisError("term comes from the 2-torsion point (0, 0)")
-    if w**ell != t.B:
-        raise ValueError(f"w^ell = {w**ell} does not equal B = {t.B}")
+    if exact_root(t.B, ell) != w:
+        raise ValueError("w^ell does not equal B")
     if t.C * t.C != t.A * (t.A * t.A + b * t.B**4):
         raise ArithmeticError("term fails C^2 = A(A^2 + b*B^4)")
 

@@ -116,9 +116,8 @@ def scan_powers(s: Sequence) -> list[tuple[int, int, int]]:
     """
     hits = []
     for t in s.terms:
-        if t.B > 1:
-            pp = arith.perfect_power(t.B)
-            if pp is not None:
-                w, ell = pp
-                hits.append((t.m, ell, w))
+        pp = arith.perfect_power(t.B)
+        if pp is not None:
+            w, ell = pp
+            hits.append((t.m, ell, w))
     return hits

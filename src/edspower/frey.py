@@ -71,10 +71,7 @@ def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
         raise ValueError("ell must be a positive integer")
     a, u, v = s.a, s.u, s.v
     n = v * v - a * u**4
-    # d*w^(4*ell) has more than 4*ell*(bits(w) - 1) bits: a right side that
-    # must outgrow n is rejected before w^(4*ell) is built, which for a large
-    # ell would not fit in memory
-    if 4 * s.ell * (s.w.bit_length() - 1) > n.bit_length() or n != s.d * s.w ** (4 * s.ell):
+    if n < 1 or n % s.d or arith.exact_root(n // s.d, 4 * s.ell) != abs(s.w):
         raise ValueError("v^2 - a*u^4 = d*w^(4*ell) fails")
     if (a * s.d) % gcd(u, v) != 0:
         raise ValueError("gcd(u, v) does not divide a*d")

@@ -108,8 +108,6 @@ def _least_primitive(B: int, B_prev: int, T: set[int], budget: Budget) -> tuple[
     for p, _, rest in arith.trial_factors(B, budget.trial_bound):
         if p not in T and B_prev % p:
             return p, True
-    if rest == 1:
-        return None, True
     found, cofactor = arith.rho_factors(rest, budget)
     return min((p for p in found if p not in T and B_prev % p), default=None), cofactor == 1
 

@@ -1,6 +1,8 @@
 """Slow reference computations the tests compare against."""
 from __future__ import annotations
 
+import tracemalloc
+from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
@@ -56,6 +58,22 @@ def multiples_oracle(c, P, M: int) -> list[tuple[int, int, int]]:
         out.append((Q.x.numerator, B, Q.y.numerator))
         Q = add(c, Q, P)
     return out
+
+
+@contextmanager
+def small_peak(limit: int = 1 << 20):
+    """Assert that the block's peak traced allocation stays below limit bytes.
+
+    Guards inputs whose size lies in an exponent: an answer that builds
+    w**ell for a huge ell peaks far above a megabyte.
+    """
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, f"peak {peak} bytes"
 
 
 def iroot_oracle(n: int, k: int) -> int:

@@ -22,6 +22,7 @@ from helpers import (
     perfect_power_oracle,
     perfect_power_root_oracle,
     reassembled,
+    small_peak,
     trial_factors_oracle,
 )
 
@@ -75,6 +76,8 @@ def test_factorize_beyond_trial_division():
     f = factorize(n)
     assert f.is_complete
     assert f.factors == {1000003: 3, 1000033: 1}
+    # the rho stage takes whatever trial division leaves, 1 included
+    assert arith.rho_factors(1, arith.DEFAULT_BUDGET) == ({}, 1)
 
 
 def test_factorize_budget_exhaustion_reported():
@@ -184,7 +187,14 @@ def test_exact_root():
     with pytest.raises(ValueError):
         exact_root(0, 2)
     with pytest.raises(ValueError):
-        exact_root(8, 1)
+        exact_root(8, 0)
+    # ell = 1 is the identity, and 1 is its own root for every ell
+    assert exact_root(8, 1) == 8
+    assert exact_root(1, 1) == 1
+    # ell >= bits(n) leaves no root above 1: answered without 2^(ell-1)
+    with small_peak():
+        assert exact_root(19679, 10**8) is None
+        assert exact_root(1, 10**8) == 1
 
 
 def test_perfect_power_small_range():
@@ -207,8 +217,10 @@ def test_perfect_power_maximal_exponent():
         assert exp % ell == 0 or ell % exp == 0 or exp >= ell
         # maximality: the base admits no further root
         assert perfect_power(base) is None
+    # 1 is no w**ell with w > 1
+    assert perfect_power(1) is None
     with pytest.raises(ValueError):
-        perfect_power(1)
+        perfect_power(0)
 
 
 def test_witnesses_are_the_first_primes_one_mod_q():

@@ -25,7 +25,7 @@ from edspower.cli import _json, _parse_point, build_parser, main
 from edspower.frey import Reduction
 from edspower.ledger import CandidateField, LevelEntry
 from edspower.quadfield import QuadElement, SplitType
-from helpers import stringify_oracle
+from helpers import small_peak, stringify_oracle
 
 
 def field_names(cls):
@@ -133,6 +133,11 @@ def test_descend_maximal_exponent_default(capsys):
 def test_descend_wrong_exponent(capsys):
     assert main(["descend", "--b", "5", "--point", "20,90", "--m", "3", "--ell", "2"]) == 3
     assert "power" in capsys.readouterr().err
+    # an exponent past bits(B) is answered at once, with no power built
+    with small_peak():
+        code = main(["descend", "--b", "5", "--point", "20,90", "--m", "3", "--ell", "100000000"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: B = 19679 is not a perfect power with exponent 100000000\n"
 
 
 def test_descend_explicit_exponent_matches_the_maximal_one(capsys):
@@ -191,7 +196,7 @@ def test_frey_invalid_solution(capsys):
 
 
 def test_frey_huge_exponent_rejected_before_the_power(capsys):
-    # w^(4*ell) would have about 4e12 bits; the size bound rejects it first
+    # w^(4*ell) would have about 4e12 bits; exact_root rejects it unbuilt
     assert main(["frey", "--a", "1", "--d", "5", "--u", "79", "--v", "6881",
                  "--w", "2", "--ell", "1000000000000"]) == 2
     assert capsys.readouterr().err == "error: v^2 - a*u^4 = d*w^(4*ell) fails\n"

@@ -17,6 +17,7 @@ from edspower import (
     term,
     to_frey,
 )
+from helpers import small_peak
 
 # (b, generator): (20, 90) on b = 5, its double, a b = 8 generator and the
 # b = 14 ledger point
@@ -63,6 +64,9 @@ def test_decompose_validation(base_curve, base_seq):
         decompose(base_curve, t, 2, 5)  # 5^2 != 36
     with pytest.raises(ValueError):
         decompose(base_curve, t, 0, 36)
+    # B_3 = 19679 against a huge exponent: rejected without building w**ell
+    with small_peak(), pytest.raises(ValueError, match=r"w\^ell does not equal B"):
+        decompose(base_curve, base_seq.terms[2], 10**8, 2)
     with pytest.raises(HypothesisError):
         decompose(base_curve, EDSTerm(1, 0, 1, 0), 1, 1)  # the 2-torsion shape
     with pytest.raises(ArithmeticError):
@@ -102,7 +106,7 @@ def test_descent_identities_over_sweep():
         for t in generate(c, P, 12).terms:
             a, u = _split_over_divisors(b, t.A)
             exponents = {(1, t.B)}
-            pp = perfect_power(t.B) if t.B > 1 else None
+            pp = perfect_power(t.B)
             if pp is not None:
                 exponents.add((pp[1], pp[0]))
             for ell, w in exponents:

@@ -18,7 +18,7 @@ from edspower import (
     prime_valuation,
 )
 
-from helpers import invariants_oracle, is_prime_oracle
+from helpers import invariants_oracle, is_prime_oracle, small_peak
 
 
 def _random_solutions(seed, count):
@@ -76,6 +76,9 @@ def test_construct_validation():
         construct(FreySolution(a=4, d=5, u=1, v=3, w=1, ell=1))  # a not squarefree
     with pytest.raises(ValueError):
         construct(FreySolution(a=1, d=5, u=79, v=6881, w=36, ell=2))  # quartic fails
+    # the quartic holds at ell = 1: a huge ell fails it without w^(4*ell) being built
+    with small_peak(), pytest.raises(ValueError, match="fails"):
+        construct(FreySolution(a=1, d=5, u=79, v=6881, w=36, ell=10**8))
     with pytest.raises(ValueError):
         construct(FreySolution(a=1, d=8, u=0, v=3, w=1, ell=1))
     with pytest.raises(ValueError):
