@@ -277,40 +277,54 @@ def exact_root(n: int, ell: int) -> int | None:
     return r if r**ell == n else None
 
 
-# Residue witnesses: for each prime exponent q, the primes r = 1 (mod q) in
-# increasing order (r = 1 (mod 2q) for odd q, as r is odd).  A row grows only
-# as far as some n needed it: most n are ruled out by the first witness.
-# Every entry is checked prime and = 1 (mod q) when it is added, so a race
-# between threads growing one row can repeat a witness but never add a wrong one.
+# The residue-sieve table: row i belongs to the i-th prime q (2, 3, 5, ...,
+# as _primes_through lists them) and holds q's witnesses, the primes
+# r = 1 (mod q) in increasing order (r = 1 (mod 2q) for odd q, as r is odd),
+# each as the pair (r, (r-1)/q).  A row starts with its first witness, which
+# perfect_power tests inline, and grows, up to _WITNESS_COUNT, only as far as
+# some n needed it: most n are ruled out by the first.  Every entry is checked
+# prime and = 1 (mod q) when it is added, and new rows come in a new table
+# that replaces the old one whole, so a race between threads can repeat a
+# witness, or lose a row to be built again, but never add a wrong one or put
+# a row beside the wrong prime.
 _WITNESS_COUNT = 8
-_witnesses: dict[int, list[int]] = {}
+_witnesses: list[list[tuple[int, int]]] = []
 
 
-def _witness(q: int, i: int) -> int:
-    """The i-th (from 0) odd prime r with r = 1 (mod q), for a prime q."""
-    rs = _witnesses.setdefault(q, [])
+def _next_witness(q: int, r: int) -> tuple[int, int]:
+    """(s, (s-1)/q) for the least odd prime s > r with s = 1 (mod q), for r = 1 or a witness."""
     step = q if q == 2 else 2 * q
-    while len(rs) <= i:
-        r = (rs[-1] if rs else 1) + step
-        while not is_probable_prime(r):
-            r += step
-        rs.append(r)
-    return rs[i]
+    r += step
+    while not is_probable_prime(r):
+        r += step
+    return r, (r - 1) // q
 
 
-def _not_a_power(n: int, q: int) -> bool:
-    """True if some witness r proves n > 0 is no q-th power.
+def _witness_rows(primes: list[int]) -> list[list[tuple[int, int]]]:
+    """The witness table, with a row for each of primes, as _primes_through lists them."""
+    global _witnesses
+    rows = _witnesses
+    if len(rows) < len(primes):
+        rows = rows + [[_next_witness(q, 1)] for q in primes[len(rows) :]]
+        _witnesses = rows
+    return rows
 
-    A q-th power prime to r is a q-th power in (Z/r)^*, whose q-th powers
-    are exactly the x with x^((r-1)/q) = 1.  A witness dividing n says
-    nothing and is passed over.
+
+def _survivor_root(n: int, q: int, row: list[tuple[int, int]]) -> int | None:
+    """exact_root(n, q) for an n > 0 that q's first witness left standing.
+
+    The later witnesses of q's row come first, and one that proves n no q-th
+    power gives None at once.  A q-th power prime to r is a q-th power in
+    (Z/r)^*, whose q-th powers are exactly the x with x^((r-1)/q) = 1.  A
+    witness dividing n says nothing and is passed over.
     """
-    for i in range(_WITNESS_COUNT):
-        r = _witness(q, i)
-        x = n % r
-        if x and pow(x, (r - 1) // q, r) != 1:
-            return True
-    return False
+    for i in range(1, _WITNESS_COUNT):
+        if i == len(row):
+            row.append(_next_witness(q, row[-1][0]))
+        r, e = row[i]
+        if pow(n, e, r) > 1:  # 0 if r | n, 1 at a q-th power residue
+            return None
+    return exact_root(n, q)
 
 
 def perfect_power(n: int) -> tuple[int, int] | None:
@@ -319,22 +333,25 @@ def perfect_power(n: int) -> tuple[int, int] | None:
     Prime exponents q <= bits(n) are tried in increasing order, each as
     often as it divides ell.  A residue sieve (Bernstein 1998) rules most
     of them out first: if some prime r = 1 (mod q), r not dividing n, has
-    n^((r-1)/q) != 1 (mod r), n is no q-th power.  exact_root remains the
-    arbiter: it runs on every q the witnesses leave standing, so the answer
-    is exact.  A root of n is a q-th power only if n is, so the primes, from
-    a list kept between calls, are walked once.  The returned base is itself
-    not a perfect power and the exponent is the largest possible.  n = 1
-    is no w**ell with w > 1, so perfect_power(1) is None.
+    n^((r-1)/q) != 1 (mod r), n is no q-th power.  The loop tests q's first
+    witness inline, from the table row that lies beside q; only a q it
+    leaves standing goes on to _survivor_root, the rest of the row, and then
+    exact_root, which remains the arbiter, so the answer is exact.  A root
+    of n is a q-th power only if n is, so the primes, from a list kept
+    between calls, are walked once.  The returned base is itself not a
+    perfect power and the exponent is the largest possible.  n = 1 is no
+    w**ell with w > 1, so perfect_power(1) is None.
     """
     if n < 1:
         raise ValueError("perfect_power requires n >= 1")
-    base, exp = n, 1
-    for q in _primes_through(n.bit_length()):
-        if q > base.bit_length():
+    base, exp, bits = n, 1, n.bit_length()
+    primes = _primes_through(bits)
+    for q, row in zip(primes, _witness_rows(primes)):
+        if q > bits:
             break
-        while not _not_a_power(base, q) and (r := exact_root(base, q)) is not None:
-            base, exp = r, exp * q
+        r, e = row[0]  # pow(base, e, r) is 0 if r | base, 1 at a q-th power residue, else q is out
+        while pow(base, e, r) < 2 and (w := _survivor_root(base, q, row)) is not None:
+            base, exp, bits = w, exp * q, w.bit_length()
     if exp == 1:
         return None
     return base, exp
-

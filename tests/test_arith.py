@@ -1,4 +1,7 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from itertools import count, islice
 
 import pytest
 
@@ -12,7 +15,7 @@ from edspower import (
     valuation,
 )
 from edspower import arith
-from edspower.arith import _floor_root, _witness
+from edspower.arith import _floor_root
 from edspower.quadfield import _require_squarefree
 
 from helpers import (
@@ -223,10 +226,64 @@ def test_perfect_power_maximal_exponent():
         perfect_power(0)
 
 
+def _row(q: int) -> list[tuple[int, int]]:
+    """The witness table's row for the prime q: the row beside q in the prime list."""
+    primes = arith._primes_through(q)
+    return arith._witness_rows(primes)[primes.index(q)]
+
+
+def _witnesses_oracle(q: int):
+    """The odd primes r = 1 (mod q), in increasing order, by trial division."""
+    return (r for r in count(q + 1, q) if r % 2 and is_prime_oracle(r))
+
+
 def test_witnesses_are_the_first_primes_one_mod_q():
+    # each row lists the first 8 odd primes r = 1 (mod q) as (r, (r-1)/q);
+    # 1 is a q-th power residue at every witness, so the whole row is built
     for q in (2, 3, 5, 7, 11, 13, 97, 1009):
-        odd_primes = (r for r in range(q + 1, 10**6, q) if r % 2 and is_prime_oracle(r))
-        assert [_witness(q, i) for i in range(8)] == [next(odd_primes) for _ in range(8)], q
+        row = _row(q)
+        assert arith._survivor_root(1, q, row) == 1
+        assert row == [(r, (r - 1) // q) for r in islice(_witnesses_oracle(q), 8)], q
+
+
+def test_witness_table_holds_under_threads(monkeypatch):
+    # threads that grow the table at once may repeat a witness or build a row
+    # twice, but each row lies beside its prime and holds only its witnesses
+    rng = random.Random(27)
+    inputs = [rng.randrange(2 ** (bits - 1), 2**bits) for bits in range(8, 1200, 37)]
+    inputs += [w**ell for w, ell in ((3, 200), (10**30 + 3, 14), (rng.randrange(2**90, 2**91), 11))]
+    expected = [perfect_power(n) for n in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(arith, "_sieved", (1, []))
+            monkeypatch.setattr(arith, "_witnesses", [])
+            with ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(perfect_power, inputs * 4, timeout=120))
+            assert results == expected * 4
+            for q, row in zip(arith._primes_through(1), arith._witnesses):
+                r = next(_witnesses_oracle(q))
+                assert row[0] == (r, (r - 1) // q), q
+                assert all(r % 2 and r % q == 1 and e == (r - 1) // q and is_prime_oracle(r) for r, e in row), q
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_first_witness_settles_most_exponents_inline(monkeypatch):
+    # a near-miss of about 2,000 bits: only the q whose first witness r divides
+    # n or finds n a q-th power residue mod r go on to the rest of the row
+    rng = random.Random(26)
+    n = rng.randrange(2**284, 2**285) ** 7 + 1
+    standing = []
+    for q in filter(is_prime_oracle, range(2, n.bit_length() + 1)):
+        r = next(_witnesses_oracle(q))
+        if n % r == 0 or pow(n, (r - 1) // q, r) == 1:
+            standing.append(q)
+    survivor, reached = arith._survivor_root, []
+    monkeypatch.setattr(arith, "_survivor_root", lambda n, q, row: reached.append(q) or survivor(n, q, row))
+    assert perfect_power(n) is None
+    assert reached == standing and len(standing) < 10
 
 
 def test_prime_list_is_kept_and_grown_by_doubling(monkeypatch):
@@ -272,6 +329,7 @@ def test_perfect_power_base_divisible_by_first_witness():
     # the first witness for q divides n, so it says nothing about q
     rng = random.Random(25)
     for q, r in ((2, 3), (3, 7), (5, 11)):
+        assert next(_witnesses_oracle(q)) == r
         for bits in (60, 1200, 2400):
             w = r * rng.randrange(2 ** (bits // q - 4), 2 ** (bits // q - 3))
             for n in (w**q, w ** (2 * q)):
@@ -279,10 +337,19 @@ def test_perfect_power_base_divisible_by_first_witness():
                 assert perfect_power(n)[1] % q == 0
     # every witness for q = 2 divides n, so exact_root alone decides
     all_two = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
-    assert [_witness(2, i) for i in range(8)] == [3, 5, 7, 11, 13, 17, 19, 23]
     k = rng.randrange(2**500, 2**501)
     assert perfect_power((all_two * k) ** 2) == perfect_power_root_oracle((all_two * k) ** 2)
     assert perfect_power(all_two * k * k) == perfect_power_root_oracle(all_two * k * k)
+    assert _row(2) == [(r, (r - 1) // 2) for r in (3, 5, 7, 11, 13, 17, 19, 23)]
+    # n = c^q (mod r) at the first witness r yet no power, so a later
+    # witness or exact_root decides
+    for q, r in ((2, 3), (3, 7), (5, 11)):
+        for bits in (60, 1200, 2400):
+            n = rng.randrange(2 ** (bits - 1), 2**bits)
+            n += (pow(rng.randrange(1, r), q, r) - n) % r
+            assert pow(n, (r - 1) // q, r) == 1
+            assert perfect_power_root_oracle(n) is None, (q, bits)
+            assert perfect_power(n) is None, (q, bits)
 
 
 def _split(n: int) -> tuple[int, int]:
