@@ -95,28 +95,6 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-_sieved: tuple[int, list[int]] = (1, [])  # (bound, the primes <= bound): one tuple, never a torn pair
-
-
-def _primes_through(limit: int) -> list[int]:
-    """Every prime <= limit and maybe more, from a list kept between calls.
-
-    A limit past the bound re-sieves the list by a plain sieve, up to twice
-    the bound or to the limit if larger (limits stay small here).
-    """
-    global _sieved
-    bound = _sieved[0]
-    if limit > bound:
-        bound = max(limit, 2 * bound)
-        sieve = bytearray([1]) * (bound + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, isqrt(bound) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _sieved = bound, list(compress(range(bound + 1), sieve))
-    return _sieved[1]
-
-
 def trial_factors(m: int, bound: int):
     """Yield (p, e, rest) for the primes p dividing m > 0, in increasing order.
 
@@ -277,18 +255,17 @@ def exact_root(n: int, ell: int) -> int | None:
     return r if r**ell == n else None
 
 
-# The residue-sieve table: row i belongs to the i-th prime q (2, 3, 5, ...,
-# as _primes_through lists them) and holds q's witnesses, the primes
+# The residue-sieve table (bound, entries): entries lists (q, row) for every
+# prime q <= bound, in increasing order.  row holds q's witnesses, the primes
 # r = 1 (mod q) in increasing order (r = 1 (mod 2q) for odd q, as r is odd),
 # each as the pair (r, (r-1)/q).  A row starts with its first witness, which
 # perfect_power tests inline, and grows, up to _WITNESS_COUNT, only as far as
-# some n needed it: most n are ruled out by the first.  Every entry is checked
-# prime and = 1 (mod q) when it is added, and new rows come in a new table
-# that replaces the old one whole, so a race between threads can repeat a
-# witness, or lose a row to be built again, but never add a wrong one or put
-# a row beside the wrong prime.
+# some n needed it: most n are ruled out by the first.  Every witness is
+# checked prime and = 1 (mod q) when it is added, and a growth swaps in a new
+# tuple whole, so a race between threads can repeat a witness, or lose an
+# entry to be built again, but never add a wrong one.
 _WITNESS_COUNT = 8
-_witnesses: list[list[tuple[int, int]]] = []
+_table: tuple[int, list[tuple[int, list[tuple[int, int]]]]] = (1, [])
 
 
 def _next_witness(q: int, r: int) -> tuple[int, int]:
@@ -300,14 +277,27 @@ def _next_witness(q: int, r: int) -> tuple[int, int]:
     return r, (r - 1) // q
 
 
-def _witness_rows(primes: list[int]) -> list[list[tuple[int, int]]]:
-    """The witness table, with a row for each of primes, as _primes_through lists them."""
-    global _witnesses
-    rows = _witnesses
-    if len(rows) < len(primes):
-        rows = rows + [[_next_witness(q, 1)] for q in primes[len(rows) :]]
-        _witnesses = rows
-    return rows
+def _entries_through(limit: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The table's entries (q, row), for every prime q <= limit and maybe more.
+
+    A limit past the bound re-sieves by a plain sieve, up to twice the bound
+    or to the limit if larger (limits stay small here).  Only the primes past
+    the old bound get a new entry, with its first witness; the rows already
+    kept carry over as they are.  The bound starts at 1, so the sieve is
+    never read at 0 or 1.
+    """
+    global _table
+    old, entries = _table
+    if limit > old:
+        bound = max(limit, 2 * old)
+        sieve = bytearray([1]) * (bound + 1)
+        for p in range(2, isqrt(bound) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+        new = compress(range(old + 1, bound + 1), sieve[old + 1 :])
+        entries = entries + [(q, [_next_witness(q, 1)]) for q in new]
+        _table = bound, entries
+    return entries
 
 
 def _survivor_root(n: int, q: int, row: list[tuple[int, int]]) -> int | None:
@@ -333,20 +323,19 @@ def perfect_power(n: int) -> tuple[int, int] | None:
     Prime exponents q <= bits(n) are tried in increasing order, each as
     often as it divides ell.  A residue sieve (Bernstein 1998) rules most
     of them out first: if some prime r = 1 (mod q), r not dividing n, has
-    n^((r-1)/q) != 1 (mod r), n is no q-th power.  The loop tests q's first
-    witness inline, from the table row that lies beside q; only a q it
-    leaves standing goes on to _survivor_root, the rest of the row, and then
-    exact_root, which remains the arbiter, so the answer is exact.  A root
-    of n is a q-th power only if n is, so the primes, from a list kept
-    between calls, are walked once.  The returned base is itself not a
-    perfect power and the exponent is the largest possible.  n = 1 is no
-    w**ell with w > 1, so perfect_power(1) is None.
+    n^((r-1)/q) != 1 (mod r), n is no q-th power.  The loop walks the
+    entries (q, row) of one table kept between calls and tests q's first
+    witness, row[0], inline; only a q it leaves standing goes on to
+    _survivor_root, the rest of the row, and then exact_root, which remains
+    the arbiter, so the answer is exact.  A root of n is a q-th power only
+    if n is, so the entries are walked once.  The returned base is itself
+    not a perfect power and the exponent is the largest possible.  n = 1 is
+    no w**ell with w > 1, so perfect_power(1) is None.
     """
     if n < 1:
         raise ValueError("perfect_power requires n >= 1")
     base, exp, bits = n, 1, n.bit_length()
-    primes = _primes_through(bits)
-    for q, row in zip(primes, _witness_rows(primes)):
+    for q, row in _entries_through(bits):
         if q > bits:
             break
         r, e = row[0]  # pow(base, e, r) is 0 if r | base, 1 at a q-th power residue, else q is out

@@ -27,7 +27,7 @@ class Curve:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.b, int) or self.b < 1:
+        if not isinstance(self.b, int) or isinstance(self.b, bool) or self.b < 1:
             raise ValueError("b must be a positive integer")
 
 

@@ -225,11 +225,11 @@ def load_eigenvalue_table(lines) -> list[EigenRecord]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split("\t") if "\t" in line else line.split()
-        if len(parts) != 4:
-            raise ValueError(f"malformed eigenvalue record: {raw!r}")
-        tag, idx, p, a_p = parts
-        records.append(EigenRecord(tag, int(idx), int(p), int(a_p)))
+        try:  # a wrong field count and a field int() refuses both raise ValueError
+            tag, idx, p, a_p = line.split("\t") if "\t" in line else line.split()
+            records.append(EigenRecord(tag, int(idx), int(p), int(a_p)))
+        except ValueError as exc:
+            raise ValueError(f"malformed eigenvalue record: {raw!r}") from exc
     return records
 
 

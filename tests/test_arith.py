@@ -227,9 +227,8 @@ def test_perfect_power_maximal_exponent():
 
 
 def _row(q: int) -> list[tuple[int, int]]:
-    """The witness table's row for the prime q: the row beside q in the prime list."""
-    primes = arith._primes_through(q)
-    return arith._witness_rows(primes)[primes.index(q)]
+    """The witness table's row for the prime q, read from q's own entry."""
+    return dict(arith._entries_through(q))[q]
 
 
 def _witnesses_oracle(q: int):
@@ -247,8 +246,9 @@ def test_witnesses_are_the_first_primes_one_mod_q():
 
 
 def test_witness_table_holds_under_threads(monkeypatch):
-    # threads that grow the table at once may repeat a witness or build a row
-    # twice, but each row lies beside its prime and holds only its witnesses
+    # threads that grow the table at once may repeat a witness or build an
+    # entry twice, but the entries are the primes in order, each row holding
+    # only its own witnesses
     rng = random.Random(27)
     inputs = [rng.randrange(2 ** (bits - 1), 2**bits) for bits in range(8, 1200, 37)]
     inputs += [w**ell for w, ell in ((3, 200), (10**30 + 3, 14), (rng.randrange(2**90, 2**91), 11))]
@@ -257,12 +257,13 @@ def test_witness_table_holds_under_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            monkeypatch.setattr(arith, "_sieved", (1, []))
-            monkeypatch.setattr(arith, "_witnesses", [])
+            monkeypatch.setattr(arith, "_table", (1, []))
             with ThreadPoolExecutor(8) as pool:
                 results = list(pool.map(perfect_power, inputs * 4, timeout=120))
             assert results == expected * 4
-            for q, row in zip(arith._primes_through(1), arith._witnesses):
+            bound, entries = arith._table
+            assert [q for q, _ in entries] == [p for p in range(bound + 1) if is_prime_oracle(p)]
+            for q, row in entries:
                 r = next(_witnesses_oracle(q))
                 assert row[0] == (r, (r - 1) // q), q
                 assert all(r % 2 and r % q == 1 and e == (r - 1) // q and is_prime_oracle(r) for r, e in row), q
@@ -287,14 +288,29 @@ def test_first_witness_settles_most_exponents_inline(monkeypatch):
 
 
 def test_prime_list_is_kept_and_grown_by_doubling(monkeypatch):
-    # perfect_power walks one module-level list of the primes up to a bound,
-    # re-sieved at twice the bound (or at the limit) only when a limit passes it
-    monkeypatch.setattr(arith, "_sieved", (1, []))
+    # perfect_power walks one module-level table with an entry for each prime
+    # up to a bound, re-sieved at twice the bound (or at the limit) only when a
+    # limit passes it
+    monkeypatch.setattr(arith, "_table", (1, []))
     for limit, bound in [(5, 5), (6, 10), (7, 10), (10, 10), (25, 25), (26, 50), (3, 50)]:
-        primes = arith._primes_through(limit)
-        assert arith._sieved == (bound, primes), limit
-        assert primes == [p for p in range(bound + 1) if is_prime_oracle(p)], limit
-    assert perfect_power(3**200) == (3, 200) and arith._sieved[0] == 317
+        entries = arith._entries_through(limit)
+        assert arith._table == (bound, entries), limit
+        assert [q for q, _ in entries] == [p for p in range(bound + 1) if is_prime_oracle(p)], limit
+    assert perfect_power(3**200) == (3, 200) and arith._table[0] == 317
+
+
+def test_rows_carry_over_when_the_table_grows(monkeypatch):
+    # a row grown past its first witness is the same object, with the same
+    # pairs, once a later limit has added entries for the primes past the bound
+    monkeypatch.setattr(arith, "_table", (1, []))
+    before = arith._entries_through(7)
+    row = _row(7)
+    assert arith._survivor_root(1, 7, row) == 1 and len(row) == 8
+    pairs = list(row)
+    entries = arith._entries_through(1000)
+    assert arith._table[0] == 1000 and len(entries) == 168
+    assert all(new is old for new, old in zip(entries, before))
+    assert dict(entries)[7] is row and row == pairs
 
 
 def _planted(rng, bits: int, ell: int) -> int:

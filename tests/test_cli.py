@@ -242,6 +242,18 @@ def test_ledger_missing_table_is_usage_error(capsys, tmp_path):
     ]) == 2
 
 
+def test_ledger_malformed_table_record_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "eig.tsv"
+    path.write_text("L49\t0\t7\t0\nL\t0\tseven\t15\n")
+    assert main([
+        "ledger", "--b", "5", "--point", "6241/1296,543599/46656",
+        "--q", "2", "--c-config", "100", "--eigen-table", str(path),
+    ]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: malformed eigenvalue record: 'L\\t0\\tseven\\t15\\n'\n"
+
+
 def test_exit_codes(capsys):
     assert main(["gen", "--b", "5", "--point", "0,0", "--max-m", "2"]) == 3
     capsys.readouterr()

@@ -32,6 +32,9 @@ def test_make_curve_xb():
         make_curve_xb(-5)
     with pytest.raises(ValueError):
         make_curve_xb(5.0)
+    # a bool is an int to isinstance, but JSON would write it as true
+    with pytest.raises(ValueError):
+        make_curve_xb(True)
 
 
 def test_invariants_of_the_x_cubed_family():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -215,10 +216,11 @@ def test_load_eigenvalue_table():
         EigenRecord("L49a", 1, 7, -3),
         EigenRecord("L7x", 2, 7, 5),
     ]
-    with pytest.raises(ValueError):
-        load_eigenvalue_table(["L1\t0\t7"])
-    with pytest.raises(ValueError):
-        load_eigenvalue_table(["L1\t0\t7\tx"])
+    # a wrong field count and a field that is no integer get the same message,
+    # which names the record
+    for raw in ("L1\t0\t7", "L1\t0\t7\tx", "L\t0\tseven\t15\n", "L 1.5 7 0"):
+        with pytest.raises(ValueError, match=f"^malformed eigenvalue record: {re.escape(repr(raw))}$"):
+            load_eigenvalue_table(["# fine", "L49a\t0\t7\t0", raw])
 
 
 @pytest.fixture(scope="module")
