@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import chain, compress, cycle
 from math import gcd, isqrt
 
+from .errors import _is_integer
+
 # Deterministic Miller-Rabin witness set, sufficient below this limit.
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -27,8 +29,12 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 class Budget:
     """Effort descriptor for factoring work.
 
-    trial_bound bounds the trial-division primes; rho_iterations caps the
-    total number of Pollard-rho function evaluations per factorize() call.
+    trial_bound bounds the trial-division primes; bounds 2 to 4 act as 5,
+    since trial_factors always tries 2, 3 and 5.  rho_iterations caps the
+    Pollard-rho function evaluations of one factorize() or rho_factors()
+    call, not of a whole computation: the ledger's index walk calls
+    rho_factors at each index with a fresh cap, so one build_report may
+    spend one cap on 2b plus one per index walked.
     """
 
     trial_bound: int = 1_000_000
@@ -37,7 +43,7 @@ class Budget:
     def __post_init__(self):
         for name, least in (("trial_bound", 2), ("rho_iterations", 0)):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            if not _is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

@@ -214,9 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="the same document as plain text instead of JSON")
     effort = argparse.ArgumentParser(add_help=False)
     effort.add_argument("--trial-bound", type=int, default=Budget().trial_bound,
-                        metavar="N", help="trial-division bound (default %(default)s)")
+                        metavar="N", help="trial-division bound; 2 to 4 act as 5 (default %(default)s)")
     effort.add_argument("--rho-iterations", type=int, default=Budget().rho_iterations,
-                        metavar="N", help="iteration budget for the rho stage (default %(default)s)")
+                        metavar="N", help="rho steps per factoring call; ledger spends one cap on 2b "
+                        "and a fresh one per index walked (default %(default)s)")
     curve = argparse.ArgumentParser(add_help=False)
     curve.add_argument("--b", type=int, required=True, help="curve parameter, y^2 = x(x^2 + b)")
     curve.add_argument("--point", required=True, metavar="X,Y", help="generator, rational coordinates as num/den")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable
 
-from .errors import HypothesisError
+from .errors import HypothesisError, _require_positive
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class Curve:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.b, int) or isinstance(self.b, bool) or self.b < 1:
-            raise ValueError("b must be a positive integer")
+        _require_positive(self.b, "b")
 
 
 @dataclass(frozen=True)
@@ -158,8 +157,7 @@ def _multiple(W: dict[int, int], H: int, A: int, B: int, Dj: int, S: dict[int, i
 
 def mul(c: Curve, n: int, P: Point) -> Point:
     """nP for n >= 1 and a non-torsion P, read off the elliptic net."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _require_positive(n, "n")
     A, B, C = net(c, P)(n)
     return Point(Fraction(A, B * B), Fraction(C, B**3))
 

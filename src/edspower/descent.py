@@ -13,7 +13,7 @@ from math import gcd, isqrt, prod
 from .arith import DEFAULT_BUDGET, Budget, exact_root, valuation
 from .curve import Curve
 from .eds import EDSTerm
-from .errors import HypothesisError
+from .errors import HypothesisError, _require_positive
 from .frey import FreySolution, bad_set
 
 
@@ -42,8 +42,8 @@ def decompose(c: Curve, t: EDSTerm, ell: int, w: int, budget: Budget = DEFAULT_B
     budget covers factoring 2b; A is never factored.
     """
     b = c.b
-    if ell < 1 or w < 1:
-        raise ValueError("ell and w must be positive integers")
+    _require_positive(ell, "ell")
+    _require_positive(w, "w")
     if t.A == 0:
         raise HypothesisError("term comes from the 2-torsion point (0, 0)")
     if exact_root(t.B, ell) != w:

@@ -16,6 +16,7 @@ from math import gcd
 from . import arith
 from .arith import Budget, DEFAULT_BUDGET
 from .curve import Curve, Point, net
+from .errors import _require_positive
 
 
 @dataclass(frozen=True)
@@ -49,15 +50,13 @@ class PrimitiveDivisors:
 
 def term(c: Curve, P: Point, m: int) -> EDSTerm:
     """The m-th sequence triple for generator P."""
-    if m < 1:
-        raise ValueError("index m must be positive")
+    _require_positive(m, "m", "index m must be positive")
     return EDSTerm(m, *net(c, P)(m))
 
 
 def generate(c: Curve, P: Point, M: int) -> Sequence:
     """Terms 1..M of the sequence of generator P."""
-    if M < 1:
-        raise ValueError("M must be positive")
+    _require_positive(M, "M", "M must be positive")
     return extend(Sequence(c, P, ()), M)
 
 
@@ -87,8 +86,7 @@ def check_strong_divisibility(s: Sequence, m: int, n: int) -> bool:
 
 def check_valuation_growth(s: Sequence, p: int, n: int, k: int) -> bool:
     """v_p(B_{nk}) = v_p(B_n) + v_p(k)?  Requires v_p(B_n) > 0."""
-    if k < 1:
-        raise ValueError("multiplier k must be positive")
+    _require_positive(k, "k", "multiplier k must be positive")
     v_n = arith.valuation(_get_B(s, n), p)
     if v_n == 0:
         raise ValueError(f"v_{p}(B_{n}) = 0; the growth law needs a positive valuation")

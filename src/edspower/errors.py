@@ -1,4 +1,12 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and its one rule for integer inputs.
+
+An integer input is an int that is not a bool: a bool is an int to
+isinstance, but JSON would write it as true.  A float, Fraction or string
+is refused, never truncated.  The checks on the package's inputs use
+_is_integer, and _require_positive for those that must be >= 1; the
+arith kernels (exact_root, perfect_power, valuation), which receive
+only ints from the package, check values alone.
+"""
 
 
 class HypothesisError(ValueError):
@@ -12,3 +20,17 @@ class HypothesisError(ValueError):
 
 class BudgetExhausted(RuntimeError):
     """An effort budget ran out before the computation could finish."""
+
+
+def _is_integer(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_positive(value, name: str, message: str | None = None) -> None:
+    """Raise ValueError unless value is an integer >= 1.
+
+    The message defaults to "<name> must be a positive integer".
+    """
+    if not _is_integer(value) or value < 1:
+        raise ValueError(message or f"{name} must be a positive integer")

@@ -15,7 +15,7 @@ from math import gcd
 
 from . import arith
 from .arith import DEFAULT_BUDGET, Budget
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, _is_integer, _require_positive
 from .quadfield import QuadElement, QuadPrime, _require_squarefree, prime_valuation
 
 
@@ -61,14 +61,11 @@ def bad_set(a: int, d: int, budget: Budget = DEFAULT_BUDGET) -> set[int]:
 
 def construct(s: FreySolution, budget: Budget = DEFAULT_BUDGET) -> FreyCurve:
     """Validate the solution and build the curve with closed-form invariants."""
-    if s.a < 1:
-        raise ValueError("a must be a positive integer")
-    if s.d < 1:
-        raise ValueError("d must be a positive integer")
-    if s.u == 0 or s.v == 0 or s.w == 0:
+    _require_positive(s.a, "a")
+    _require_positive(s.d, "d")
+    if not all(_is_integer(t) and t != 0 for t in (s.u, s.v, s.w)):
         raise ValueError("u, v, w must all be nonzero")
-    if s.ell < 1:
-        raise ValueError("ell must be a positive integer")
+    _require_positive(s.ell, "ell")
     a, u, v = s.a, s.u, s.v
     n = v * v - a * u**4
     if n < 1 or n % s.d or arith.exact_root(n // s.d, 4 * s.ell) != abs(s.w):

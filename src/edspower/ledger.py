@@ -20,7 +20,7 @@ from . import arith, frey
 from .arith import DEFAULT_BUDGET, Budget
 from .curve import Curve, Point, net
 from .eds import Sequence
-from .errors import BudgetExhausted, HypothesisError
+from .errors import BudgetExhausted, HypothesisError, _require_positive
 from .quadfield import QuadPrime, SplitType, _primes_above
 
 DEFAULT_SEARCH_CAP = 64
@@ -143,7 +143,9 @@ def find_k_p0(
     stopped at, whose factoring the budget cut short; when it is empty the
     pair is proven least, otherwise a smaller k or p0 may exist.
     A search_cap below q is a ValueError; exhaustion raises
-    BudgetExhausted with the progress made.
+    BudgetExhausted with the progress made.  Each index walked gets a fresh
+    cap of budget.rho_iterations, so the walk may spend one cap per index,
+    and trial bounds 2 to 4 act as 5.
     """
     if not s.terms:
         raise ValueError("sequence has no terms")
@@ -178,8 +180,8 @@ def _walk_indices(
 
 def threshold(k: int, b: int, c_config: int, p0: int) -> int:
     """max{k, 2b, C_config, p0, 5}."""
-    if min(k, b, c_config, p0) < 1:
-        raise ValueError("all threshold inputs must be positive")
+    for name, value in (("k", k), ("b", b), ("c_config", c_config), ("p0", p0)):
+        _require_positive(value, name)
     return max(k, 2 * b, c_config, p0, 5)
 
 
@@ -272,10 +274,13 @@ def build_report(
     The generator must be non-torsion and non-integral (B_1 > 1), with q a
     prime dividing B_1.  c_config stands in for the effective
     irreducibility constant, which is configuration, not derivation.
+    The budget holds per factoring call: 2b is factored under one cap of
+    budget.rho_iterations and each index walked under a fresh one, so one
+    report may spend one cap plus one per index; trial bounds 2 to 4 act
+    as 5.
     """
     b = curve.b
-    if c_config < 1:
-        raise ValueError("c_config must be a positive integer")
+    _require_positive(c_config, "c_config")
     # building the net checks the generator: on the curve, not torsion
     f = net(curve, generator)
     B1 = f(1)[1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import arith
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, _is_integer, _require_positive
 
 
 class SplitType(str, enum.Enum):
@@ -36,9 +36,8 @@ class QuadElement:
     y: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or self.a < 1:
-            raise ValueError("field label a must be a positive integer")
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+        _require_positive(self.a, "field label a")
+        if not (_is_integer(self.x) and _is_integer(self.y)):
             raise ValueError("coordinates must be integers")
         if self.a == 1 and self.y:
             # sqrt(1) = 1: the element is rational
@@ -125,8 +124,7 @@ def _primes_above(a: int, p: int) -> list[QuadPrime]:
 
 def primes_above(a: int, p: int) -> list[QuadPrime]:
     """The primes of Q(sqrt(a)) over p, split ones with their roots mod p."""
-    if not isinstance(a, int) or a < 1:
-        raise ValueError("a must be a positive integer")
+    _require_positive(a, "a")
     _require_squarefree(a, arith.factorize(a))
     if not arith.is_probable_prime(p):
         raise ValueError(f"{p} is not prime")

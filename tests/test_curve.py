@@ -285,3 +285,15 @@ def test_mul_rejects_torsion():
                 mul(c, 3, Point(2 * t * t, y))
     with pytest.raises(ValueError):
         mul(make_curve_xb(5), 2, Point(3, 7))  # not on the curve
+
+
+def test_net_faults_are_arithmetic_errors(monkeypatch):
+    # (3 - 0) / 2 is no integer
+    with pytest.raises(ArithmeticError, match="^a term of the elliptic net is not an integer$"):
+        curve._quotient(1, 0, 3, 0, 0, 0, 2)
+    # a gcd of 2 leaves the x-denominator of 3P off a square
+    f = net(make_curve_xb(5), Point(20, 90))
+    answers = iter([2])
+    monkeypatch.setattr(curve, "gcd", lambda *args: next(answers, 1))
+    with pytest.raises(ArithmeticError, match="^x-denominator of 3P is not a perfect square$"):
+        f(3)

@@ -11,6 +11,7 @@ from edspower import (
     arith,
     construct,
     decompose,
+    descent,
     generate,
     make_curve_xb,
     perfect_power,
@@ -118,6 +119,15 @@ def test_descent_identities_over_sweep():
                 assert d.a * d.v**2 == t.A**2 + b * t.B**4
                 assert d.v**2 - d.a * d.u**4 == (b // d.a) * d.w ** (4 * d.ell)
     assert data == 50
+
+
+def test_decompose_fault_when_a_prime_of_b_is_missed(monkeypatch, base_curve, base_seq):
+    # A_3 has odd valuation at 5, so without 5 its squarefree part is lost
+    real = descent.bad_set
+    monkeypatch.setattr(descent, "bad_set", lambda *args: real(*args) - {5})
+    t = base_seq.terms[2]
+    with pytest.raises(ArithmeticError, match="^squarefree part of A does not divide b$"):
+        decompose(base_curve, t, 1, t.B)
 
 
 def test_decompose_does_not_factor_the_term(monkeypatch):

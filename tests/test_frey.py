@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import gcd, isqrt
 
 import pytest
@@ -146,6 +147,15 @@ def test_reduction_classification():
         classify_reduction(F, primes_above(1, 2)[0])  # bad prime
     with pytest.raises(ValueError):
         classify_reduction(F, primes_above(5, 3)[0])  # wrong field
+
+
+def test_additive_reduction_outside_the_bad_set_is_a_fault():
+    F = construct(FreySolution(a=5, d=1, u=11834, v=498029769, w=19679, ell=1))
+    P = next(P for P in primes_above(5, 1789) if classify_reduction(F, P) is Reduction.MULTIPLICATIVE)
+    # a c4 that P divides as well
+    with pytest.raises(ArithmeticError, match="^additive reduction at p = 1789 outside the bad set; "
+                       "model not semistable$"):
+        classify_reduction(replace(F, c4=QuadElement(5, 1789)), P)
 
 
 def test_exponent_divisibility_known_valuations():

@@ -29,6 +29,9 @@ def test_integrality_and_zero():
         QuadElement(5, Fraction(1, 2), 3)
     with pytest.raises(ValueError):
         QuadElement(5, 2, Fraction(3))
+    # bools are ints to isinstance, but JSON would write them as true and false
+    with pytest.raises(ValueError, match="^coordinates must be integers$"):
+        QuadElement(5, True, False)
     assert QuadElement(5, 0, 0).is_zero
     with pytest.raises(ValueError):
         QuadElement(0, 1, 1)
