@@ -73,8 +73,10 @@ def is_probable_prime(n: int) -> bool:
     Deterministic for n below 3.3e24 via the fixed witness set; above that,
     the fixed witnesses are supplemented with _MR_EXTRA_ROUNDS pseudo-random
     bases drawn from a generator seeded by n, so results are reproducible.
+    Anything that is not an integer, a bool or a float included, is not
+    prime.
     """
-    if n < 2:
+    if not _is_integer(n) or n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
@@ -199,10 +201,11 @@ def factorize(n: int, budget: Budget = DEFAULT_BUDGET) -> Factorization:
 
     Trial division up to budget.trial_bound, then Brent-variant Pollard rho
     on the remaining composites with a shared iteration cap.  Whatever
-    resists ends up multiplied into unfactored_cofactor.
+    resists ends up multiplied into unfactored_cofactor.  n must be a
+    nonzero integer.
     """
-    if n == 0:
-        raise ValueError("cannot factor 0")
+    if not _is_integer(n) or n == 0:
+        raise ValueError(f"cannot factor {n!r}")
     factors: dict[int, int] = {}
     rest = abs(n)
     for p, e, rest in trial_factors(rest, budget.trial_bound):

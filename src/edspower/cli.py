@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 from . import arith, descent, eds, frey, ledger, quadfield
 from .arith import Budget
 from .curve import Curve, Point
-from .errors import BudgetExhausted, HypothesisError
+from .errors import BudgetExhausted, HypothesisError, _require_positive
 from .frey import FreySolution
 from .quadfield import QuadElement
 
@@ -105,16 +105,14 @@ def _table_lines(node, name: str = ""):
 
 def _cmd_gen(args: argparse.Namespace) -> dict:
     c, P = Curve(args.b), _parse_point(args.point)
-    if args.max_m < 1:
-        raise ValueError("--max-m must be positive")
+    _require_positive(args.max_m, "--max-m", "--max-m must be positive")
     s = eds.generate(c, P, args.max_m)
     return {"b": args.b, "generator": str(P), "terms": s.terms}
 
 
 def _cmd_scan(args: argparse.Namespace) -> dict:
     c, P = Curve(args.b), _parse_point(args.point)
-    if args.max_m < 1:
-        raise ValueError("--max-m must be positive")
+    _require_positive(args.max_m, "--max-m", "--max-m must be positive")
     s = eds.generate(c, P, args.max_m)
     return {
         "b": args.b,
@@ -124,28 +122,19 @@ def _cmd_scan(args: argparse.Namespace) -> dict:
     }
 
 
-def _descend_exponent(B: int, ell_arg: int | None) -> tuple[int, int]:
-    """Resolve (ell, w) with w^ell = B for the requested or maximal exponent."""
-    if ell_arg is not None:
-        if ell_arg < 1:
-            raise ValueError("--ell must be positive")
-        w = arith.exact_root(B, ell_arg)
-        if w is None:
-            raise HypothesisError(f"B = {B} is not a perfect power with exponent {ell_arg}")
-        return ell_arg, w
-    pp = arith.perfect_power(B)
-    if pp is not None:
-        return pp[1], pp[0]
-    return 1, B
-
-
 def _cmd_descend(args: argparse.Namespace) -> dict:
     budget = Budget(args.trial_bound, args.rho_iterations)
     c, P = Curve(args.b), _parse_point(args.point)
-    if args.m < 1:
-        raise ValueError("--m must be positive")
+    _require_positive(args.m, "--m", "--m must be positive")
     t = eds.term(c, P, args.m)
-    ell, w = _descend_exponent(t.B, args.ell)
+    # w^ell = B_m for the requested exponent, else the maximal one
+    if args.ell is None:
+        w, ell = arith.perfect_power(t.B) or (t.B, 1)
+    else:
+        _require_positive(args.ell, "--ell", "--ell must be positive")
+        w, ell = arith.exact_root(t.B, args.ell), args.ell
+        if w is None:
+            raise HypothesisError(f"B = {t.B} is not a perfect power with exponent {ell}")
     d = descent.decompose(c, t, ell, w, budget)
     return {
         "b": args.b,
@@ -192,7 +181,7 @@ def _cmd_ledger(args: argparse.Namespace) -> dict:
         try:
             with open(args.eigen_table, encoding="utf-8") as fh:
                 table = ledger.load_eigenvalue_table(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read eigenvalue table: {exc}") from exc
     return vars(ledger.build_report(
         c, P, args.q, args.c_config,

@@ -56,7 +56,6 @@ def term(c: Curve, P: Point, m: int) -> EDSTerm:
 
 def generate(c: Curve, P: Point, M: int) -> Sequence:
     """Terms 1..M of the sequence of generator P."""
-    _require_positive(M, "M", "M must be positive")
     return extend(Sequence(c, P, ()), M)
 
 
@@ -64,8 +63,10 @@ def extend(s: Sequence, M: int) -> Sequence:
     """A sequence with at least M terms, reusing the ones already computed.
 
     Terms L+1..M come from a fresh net of the generator, whose memo
-    reaches them in about 2(M - L) net steps.
+    reaches them in about 2(M - L) net steps.  M must be a positive
+    integer.
     """
+    _require_positive(M, "M", "M must be positive")
     if M <= len(s.terms):
         return s
     f = net(s.curve, s.generator)
@@ -74,7 +75,8 @@ def extend(s: Sequence, M: int) -> Sequence:
 
 
 def _get_B(s: Sequence, m: int) -> int:
-    if not 1 <= m <= len(s.terms):
+    _require_positive(m, "m", "index m must be positive")
+    if m > len(s.terms):
         raise ValueError(f"index {m} outside the generated range 1..{len(s.terms)}")
     return s.terms[m - 1].B
 

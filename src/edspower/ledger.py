@@ -20,15 +20,18 @@ from . import arith, frey
 from .arith import DEFAULT_BUDGET, Budget
 from .curve import Curve, Point, net
 from .eds import Sequence
-from .errors import BudgetExhausted, HypothesisError, _require_positive
+from .errors import BudgetExhausted, HypothesisError, _is_integer, _require_positive
 from .quadfield import QuadPrime, SplitType, _primes_above
 
 DEFAULT_SEARCH_CAP = 64
 
 # Conductor exponent caps: semistable-away-from-S curves need f_P <= 2 at
 # P over p not dividing 6, and at most 2 + 6e over 2 and 2 + 3e over 3
-# (e the ramification index).  The 2/3 constants are design constants
-# adopted from the standard conductor bound; reports carry this caveat.
+# (e the ramification index, which is v_P(2) or v_P(3) here).  These are
+# the bound f_P <= 2 + 6 v_P(2) + 3 v_P(3) for an elliptic curve over a
+# number field (Brumer and Kramer, "The conductor of an abelian variety",
+# Compositio Math. 92, 1994).  The caveat text is report output that the
+# command-line tests pin byte for byte, so it keeps its older wording.
 _CAP_NOTE = "exponent caps over 2 and 3 use the design constants 2+6e and 2+3e"
 
 
@@ -118,6 +121,8 @@ def _check_index_search(B1: int, q: int, search_cap: int) -> None:
         raise HypothesisError("generator is integral (B_1 = 1); the bound needs B_1 > 1")
     if not arith.is_probable_prime(q):
         raise ValueError(f"q = {q} is not prime")
+    if not _is_integer(search_cap):
+        raise ValueError(f"search_cap must be an integer, got {search_cap!r}")
     if search_cap < q:
         raise ValueError(f"search_cap = {search_cap} is below q = {q}; no index to try")
     if B1 % q != 0:

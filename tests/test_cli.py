@@ -242,6 +242,21 @@ def test_ledger_missing_table_is_usage_error(capsys, tmp_path):
     ]) == 2
 
 
+def test_ledger_table_not_in_utf8_is_a_table_read_error(capsys, tmp_path):
+    path = tmp_path / "eig.tsv"
+    path.write_bytes(b"L49\t0\t\xff\t0\n")
+    assert main([
+        "ledger", "--b", "5", "--point", "6241/1296,543599/46656",
+        "--q", "2", "--c-config", "100", "--eigen-table", str(path),
+    ]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: cannot read eigenvalue table: "
+        "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"
+    )
+
+
 def test_ledger_malformed_table_record_is_usage_error(capsys, tmp_path):
     path = tmp_path / "eig.tsv"
     path.write_text("L49\t0\t7\t0\nL\t0\tseven\t15\n")
