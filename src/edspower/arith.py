@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain, compress, cycle
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import _is_integer
 
@@ -264,17 +264,25 @@ def exact_root(n: int, ell: int) -> int | None:
     return r if r**ell == n else None
 
 
-# The residue-sieve table (bound, entries): entries lists (q, row) for every
-# prime q <= bound, in increasing order.  row holds q's witnesses, the primes
-# r = 1 (mod q) in increasing order (r = 1 (mod 2q) for odd q, as r is odd),
-# each as the pair (r, (r-1)/q).  A row starts with its first witness, which
-# perfect_power tests inline, and grows, up to _WITNESS_COUNT, only as far as
-# some n needed it: most n are ruled out by the first.  Every witness is
+# The residue-sieve table (bound, blocks).  Every prime q <= bound has an entry
+# (q, r, e, row), in increasing order of q.  row holds q's witnesses, the
+# primes r = 1 (mod q) in increasing order (r = 1 (mod 2q) for odd q, as r is
+# odd), each as the pair (r, (r-1)/q), and (r, e) is its first, row[0], which
+# perfect_power tests inline; the entry keeps it so that test needs no lookup,
+# which short inputs notice.  A row grows, up to _WITNESS_COUNT, only as far
+# as some n needed it: most n are ruled out by the first.  The entries are cut
+# into blocks of _BLOCK, each the pair (m, entries) with m the product of their
+# first witnesses, so that perfect_power reduces a long base once per block,
+# not once per q.  row[0] never changes, so neither does m, and every block but
+# the last carries over as it is when the table grows.  Every witness is
 # checked prime and = 1 (mod q) when it is added, and a growth swaps in a new
-# tuple whole, so a race between threads can repeat a witness, or lose an
-# entry to be built again, but never add a wrong one.
+# tuple whole, so a race between threads can repeat a witness, or lose an entry
+# to be built again, but never add a wrong one.  Of blocks of 8 to 64, 16 to 32
+# did best on terms of 1,000 to 2,800 bits; longer terms favour larger blocks,
+# and inputs of 300 bits or fewer smaller ones, so 24 sits between.
 _WITNESS_COUNT = 8
-_table: tuple[int, list[tuple[int, list[tuple[int, int]]]]] = (1, [])
+_BLOCK = 24
+_table: tuple[int, list[tuple[int, list[tuple[int, int, int, list[tuple[int, int]]]]]]] = (1, [])
 
 
 def _next_witness(q: int, r: int) -> tuple[int, int]:
@@ -286,17 +294,18 @@ def _next_witness(q: int, r: int) -> tuple[int, int]:
     return r, (r - 1) // q
 
 
-def _entries_through(limit: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """The table's entries (q, row), for every prime q <= limit and maybe more.
+def _entries_through(limit: int) -> list[tuple[int, list[tuple[int, int, int, list[tuple[int, int]]]]]]:
+    """The table's blocks (m, entries), with an entry for each prime q <= limit and maybe more.
 
     A limit past the bound re-sieves by a plain sieve, up to twice the bound
     or to the limit if larger (limits stay small here).  Only the primes past
     the old bound get a new entry, with its first witness; the rows already
-    kept carry over as they are.  The bound starts at 1, so the sieve is
-    never read at 0 or 1.
+    kept carry over as they are, and so does every block but the last,
+    which is cut again with the new entries after its own.  The bound starts
+    at 1, so the sieve is never read at 0 or 1.
     """
     global _table
-    old, entries = _table
+    old, blocks = _table
     if limit > old:
         bound = max(limit, 2 * old)
         sieve = bytearray([1]) * (bound + 1)
@@ -304,9 +313,12 @@ def _entries_through(limit: int) -> list[tuple[int, list[tuple[int, int]]]]:
             if sieve[p]:
                 sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
         new = compress(range(old + 1, bound + 1), sieve[old + 1 :])
-        entries = entries + [(q, [_next_witness(q, 1)]) for q in new]
-        _table = bound, entries
-    return entries
+        entries = [entry for _, block in blocks[-1:] for entry in block]
+        entries += [(q, r, e, [(r, e)]) for q in new for r, e in [_next_witness(q, 1)]]
+        cuts = [entries[i : i + _BLOCK] for i in range(0, len(entries), _BLOCK)]
+        blocks = blocks[:-1] + [(prod(r for _, r, _, _ in cut), cut) for cut in cuts]
+        _table = bound, blocks
+    return blocks
 
 
 def _survivor_root(n: int, q: int, row: list[tuple[int, int]]) -> int | None:
@@ -333,23 +345,31 @@ def perfect_power(n: int) -> tuple[int, int] | None:
     often as it divides ell.  A residue sieve (Bernstein 1998) rules most
     of them out first: if some prime r = 1 (mod q), r not dividing n, has
     n^((r-1)/q) != 1 (mod r), n is no q-th power.  The loop walks the
-    entries (q, row) of one table kept between calls and tests q's first
-    witness, row[0], inline; only a q it leaves standing goes on to
-    _survivor_root, the rest of the row, and then exact_root, which remains
-    the arbiter, so the answer is exact.  A root of n is a q-th power only
-    if n is, so the entries are walked once.  The returned base is itself
-    not a perfect power and the exponent is the largest possible.  n = 1 is
-    no w**ell with w > 1, so perfect_power(1) is None.
+    blocks (m, entries) of one table kept between calls.  It reduces the
+    base once per block, to small = base mod m, and tests each q's first
+    witness r, kept in q's entry, on small, which is the base mod r as
+    r | m; so a long base costs one division per block, not one per q.
+    Only a q that r leaves standing goes on to _survivor_root, the rest of
+    the row, and then exact_root, which remains the arbiter, so the answer
+    is exact.  A root of n is a q-th power only if n is, so the entries are
+    walked once; a root that replaces the base is reduced mod m again.  The
+    returned base is itself not a perfect power and the exponent is the
+    largest possible.  n = 1 is no w**ell with w > 1, so perfect_power(1)
+    is None.
     """
     if n < 1:
         raise ValueError("perfect_power requires n >= 1")
     base, exp, bits = n, 1, n.bit_length()
-    for q, row in _entries_through(bits):
+    for m, block in _entries_through(bits):
+        small = base % m
+        for q, r, e, row in block:
+            if q > bits:
+                break
+            # pow(small, e, r) is 0 if r | base, 1 at a q-th power residue, else q is out
+            while pow(small, e, r) < 2 and (w := _survivor_root(base, q, row)) is not None:
+                base, exp, bits, small = w, exp * q, w.bit_length(), w % m
         if q > bits:
-            break
-        r, e = row[0]  # pow(base, e, r) is 0 if r | base, 1 at a q-th power residue, else q is out
-        while pow(base, e, r) < 2 and (w := _survivor_root(base, q, row)) is not None:
-            base, exp, bits = w, exp * q, w.bit_length()
+            break  # and so is every q in the later blocks
     if exp == 1:
         return None
     return base, exp

@@ -1,18 +1,19 @@
 """Exceptions shared across the package, and its one rule for integer inputs.
 
 An integer input is an int that is not a bool: a bool is an int to
-isinstance, but JSON would write it as true.  A float, Fraction or string
-is refused, never truncated.  The checks on the package's inputs use
-_require_positive for those that must be >= 1, indices and bounds
+isinstance, but JSON would write it as true.  A float, Fraction or
+string is refused, never truncated.  The checks on the package's inputs
+use _require_positive for those that must be >= 1, indices and bounds
 included: the sequence index (term's m, and the m that eds._get_B reads
-for the divisibility laws and primitive divisors), extend's M and the
-CLI's --max-m, --m and --ell.  The rest use _is_integer with their own
-least: factorize's nonzero n, the ledger's search_cap (at least q) and
-the Budget fields.  is_probable_prime is False for anything that is not
-an integer, so every "is not prime" check, on the ledger's q and on p in
-valuation and primes_above, refuses a float or a bool with its
-ValueError.  The arith kernels (exact_root, perfect_power, valuation's
-n), which receive only ints from the package, check values alone.
+for the divisibility laws and primitive divisors), extend's M, the CLI's
+--max-m, --m and --ell, and frey.bad_set's a and d.  The rest use
+_is_integer with their own least: factorize's nonzero n, the ledger's
+search_cap (at least q) and the Budget fields.  is_probable_prime is
+False for anything that is not an integer, so every "is not prime"
+check, on the ledger's q and on p in valuation and primes_above, refuses
+a float or a bool with its ValueError.  The arith kernels (exact_root,
+perfect_power, valuation's n), which receive only ints from the package,
+check values alone.
 """
 
 

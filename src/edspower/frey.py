@@ -52,7 +52,9 @@ class FreyCurve:
 
 
 def bad_set(a: int, d: int, budget: Budget = DEFAULT_BUDGET) -> set[int]:
-    """The rational primes dividing 2*a*d."""
+    """The rational primes dividing 2*a*d, for positive integers a and d."""
+    _require_positive(a, "a")
+    _require_positive(d, "d")
     f = arith.factorize(2 * a * d, budget)
     if not f.is_complete:
         raise BudgetExhausted(f"could not fully factor {2 * a * d}")

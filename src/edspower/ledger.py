@@ -225,15 +225,19 @@ def load_eigenvalue_table(lines) -> list[EigenRecord]:
     """Parse records `level_tag TAB form_index TAB p TAB a_p`, one per line.
 
     Accepts any iterable of strings; blank lines and lines starting with #
-    are skipped.
+    are skipped.  Each number is ASCII decimal with an optional sign,
+    [+-]?[0-9]+ as --point takes it; any other field, such as 7_0 or a
+    non-ASCII digit that int() would read, makes the record malformed.
     """
     records = []
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:  # a wrong field count and a field int() refuses both raise ValueError
+        try:  # a wrong field count and a field that is no such number both raise ValueError
             tag, idx, p, a_p = line.split("\t") if "\t" in line else line.split()
+            if not all(v.isascii() and v.lstrip("+-").isdigit() for v in (idx, p, a_p)):
+                raise ValueError("not an ASCII decimal integer")  # int() refuses a second sign
             records.append(EigenRecord(tag, int(idx), int(p), int(a_p)))
         except ValueError as exc:
             raise ValueError(f"malformed eigenvalue record: {raw!r}") from exc

@@ -5,7 +5,9 @@ import tracemalloc
 from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from functools import cache, partial
+from itertools import count
+from math import gcd, isqrt
 
 import pytest
 
@@ -23,6 +25,15 @@ from edspower import (
 
 # The oracle's point at infinity: the package's points are all affine.
 O = None
+
+# (b, generator): (20, 90) on b = 5, its double, a b = 8 generator and the
+# b = 14 ledger point
+SWEEP = (
+    (5, Point(20, 90)),
+    (5, Point(Fraction(6241, 1296), Fraction(543599, 46656))),
+    (8, Point(Fraction(49, 36), Fraction(-791, 216))),
+    (14, Point(Fraction(103058, 2209), Fraction(-33190578, 103823))),
+)
 
 
 def neg(c, P):
@@ -179,6 +190,44 @@ def perfect_power_root_oracle(n: int) -> tuple[int, int] | None:
                 base, exp = r, exp * q
                 reduced = True
                 break
+    if exp == 1:
+        return None
+    return base, exp
+
+
+@cache
+def _prime_one_mod(q: int, k: int) -> int:
+    """The k-th prime r = 1 (mod q), counting from 0, by trial division."""
+    start = q + 1 if k == 0 else _prime_one_mod(q, k - 1) + q
+    return next(r for r in count(start, q) if is_prime_oracle(r))
+
+
+def perfect_power_valuation_oracle(n: int, bound: int = 1000) -> tuple[int, int] | None:
+    """Maximal (base, exp) with base**exp == n, exp >= 2, for long n, from its valuations.
+
+    n = w**ell makes ell divide the gcd g of the valuations of n at the primes
+    below bound.  If none of them divides n (g = 0), w > bound, so ell is
+    below bits(n) / log2(bound).  Each prime q left is ruled out when n is no
+    q-th power mod the least prime r = 1 (mod q) that does not divide n, and
+    is otherwise settled by exact_root: one pow of the whole n per q, with no
+    table and no blocks.  Fast on long terms B_m, where
+    perfect_power_root_oracle is not.
+    """
+    assert n > 1
+    g = 0
+    for p in filter(is_prime_oracle, range(2, bound)):
+        m, e = n, 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        g = gcd(g, e)
+    top = g or n.bit_length() // (bound.bit_length() - 1)
+    base, exp = n, 1
+    for q in filter(is_prime_oracle, range(2, top + 1)):
+        if g % q:
+            continue
+        r = next(r for r in map(partial(_prime_one_mod, q), count()) if n % r)
+        while pow(base, (r - 1) // q, r) == 1 and (w := exact_root(base, q)) is not None:
+            base, exp = w, exp * q
     if exp == 1:
         return None
     return base, exp

@@ -2,6 +2,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import count, islice
+from math import prod
 
 import pytest
 
@@ -10,7 +11,9 @@ from edspower import (
     BudgetExhausted,
     exact_root,
     factorize,
+    generate,
     is_probable_prime,
+    make_curve_xb,
     perfect_power,
     valuation,
 )
@@ -19,11 +22,13 @@ from edspower.arith import _floor_root
 from edspower.quadfield import _require_squarefree
 
 from helpers import (
+    SWEEP,
     factor_oracle,
     iroot_oracle,
     is_prime_oracle,
     perfect_power_oracle,
     perfect_power_root_oracle,
+    perfect_power_valuation_oracle,
     reassembled,
     small_peak,
     trial_factors_oracle,
@@ -226,9 +231,19 @@ def test_perfect_power_maximal_exponent():
         perfect_power(0)
 
 
+def _flat(blocks) -> list[tuple[int, int, int, list[tuple[int, int]]]]:
+    """The entries (q, r, e, row) of the witness table's blocks, block after block."""
+    return [entry for _, block in blocks for entry in block]
+
+
+def _entries(limit: int) -> list[tuple[int, int, int, list[tuple[int, int]]]]:
+    """The witness table's entries through limit."""
+    return _flat(arith._entries_through(limit))
+
+
 def _row(q: int) -> list[tuple[int, int]]:
     """The witness table's row for the prime q, read from q's own entry."""
-    return dict(arith._entries_through(q))[q]
+    return {entry[0]: entry[3] for entry in _entries(q)}[q]
 
 
 def _witnesses_oracle(q: int):
@@ -236,19 +251,29 @@ def _witnesses_oracle(q: int):
     return (r for r in count(q + 1, q) if r % 2 and is_prime_oracle(r))
 
 
+def _check_blocks(blocks) -> None:
+    """Every block but the last holds _BLOCK entries, and each block's m is the product of their r."""
+    assert blocks and all(len(block) == arith._BLOCK for _, block in blocks[:-1])
+    assert 1 <= len(blocks[-1][1]) <= arith._BLOCK
+    for m, block in blocks:
+        assert m == prod(r for _, r, _, _ in block), [q for q, *_ in block]
+
+
 def test_witnesses_are_the_first_primes_one_mod_q():
-    # each row lists the first 8 odd primes r = 1 (mod q) as (r, (r-1)/q);
-    # 1 is a q-th power residue at every witness, so the whole row is built
+    # each row lists the first 8 odd primes r = 1 (mod q) as (r, (r-1)/q), and
+    # the entry keeps the first of them; 1 is a q-th power residue at every
+    # witness, so the whole row is built
     for q in (2, 3, 5, 7, 11, 13, 97, 1009):
         row = _row(q)
         assert arith._survivor_root(1, q, row) == 1
         assert row == [(r, (r - 1) // q) for r in islice(_witnesses_oracle(q), 8)], q
+        assert [entry[1:3] for entry in _entries(q) if entry[0] == q] == [row[0]], q
 
 
 def test_witness_table_holds_under_threads(monkeypatch):
     # threads that grow the table at once may repeat a witness or build an
     # entry twice, but the entries are the primes in order, each row holding
-    # only its own witnesses
+    # only its own witnesses, and each block's m the product of its first ones
     rng = random.Random(27)
     inputs = [rng.randrange(2 ** (bits - 1), 2**bits) for bits in range(8, 1200, 37)]
     inputs += [w**ell for w, ell in ((3, 200), (10**30 + 3, 14), (rng.randrange(2**90, 2**91), 11))]
@@ -261,11 +286,13 @@ def test_witness_table_holds_under_threads(monkeypatch):
             with ThreadPoolExecutor(8) as pool:
                 results = list(pool.map(perfect_power, inputs * 4, timeout=120))
             assert results == expected * 4
-            bound, entries = arith._table
-            assert [q for q, _ in entries] == [p for p in range(bound + 1) if is_prime_oracle(p)]
-            for q, row in entries:
-                r = next(_witnesses_oracle(q))
-                assert row[0] == (r, (r - 1) // q), q
+            bound, blocks = arith._table
+            _check_blocks(blocks)
+            entries = _flat(blocks)
+            assert [q for q, *_ in entries] == [p for p in range(bound + 1) if is_prime_oracle(p)]
+            for q, r, e, row in entries:
+                first = next(_witnesses_oracle(q))
+                assert (r, e) == row[0] == (first, (first - 1) // q), q
                 assert all(r % 2 and r % q == 1 and e == (r - 1) // q and is_prime_oracle(r) for r, e in row), q
     finally:
         sys.setswitchinterval(interval)
@@ -290,27 +317,39 @@ def test_first_witness_settles_most_exponents_inline(monkeypatch):
 def test_prime_list_is_kept_and_grown_by_doubling(monkeypatch):
     # perfect_power walks one module-level table with an entry for each prime
     # up to a bound, re-sieved at twice the bound (or at the limit) only when a
-    # limit passes it
+    # limit passes it, and cut into blocks
     monkeypatch.setattr(arith, "_table", (1, []))
     for limit, bound in [(5, 5), (6, 10), (7, 10), (10, 10), (25, 25), (26, 50), (3, 50)]:
-        entries = arith._entries_through(limit)
-        assert arith._table == (bound, entries), limit
-        assert [q for q, _ in entries] == [p for p in range(bound + 1) if is_prime_oracle(p)], limit
+        blocks = arith._entries_through(limit)
+        assert arith._table == (bound, blocks), limit
+        _check_blocks(blocks)
+        assert [q for q, *_ in _entries(limit)] == [p for p in range(bound + 1) if is_prime_oracle(p)], limit
     assert perfect_power(3**200) == (3, 200) and arith._table[0] == 317
+    _check_blocks(arith._table[1])
 
 
 def test_rows_carry_over_when_the_table_grows(monkeypatch):
     # a row grown past its first witness is the same object, with the same
-    # pairs, once a later limit has added entries for the primes past the bound
+    # pairs, once a later limit has added entries for the primes past the
+    # bound; so is every entry, and every block but the last, whose entries
+    # are cut again with the new ones after them
     monkeypatch.setattr(arith, "_table", (1, []))
-    before = arith._entries_through(7)
+    arith._entries_through(7)
     row = _row(7)
     assert arith._survivor_root(1, 7, row) == 1 and len(row) == 8
     pairs = list(row)
-    entries = arith._entries_through(1000)
-    assert arith._table[0] == 1000 and len(entries) == 168
-    assert all(new is old for new, old in zip(entries, before))
-    assert dict(entries)[7] is row and row == pairs
+    # the last block is short at 7, and full at 1000 when the block size
+    # divides the 168 primes up to 1000, as 24 does
+    for limit, bound in ((1000, 1000), (1001, 2000), (2001, 4000)):
+        kept = arith._table[1]
+        blocks = arith._entries_through(limit)
+        assert arith._table == (bound, blocks), limit
+        _check_blocks(blocks)
+        assert all(new is old for new, old in zip(blocks, kept[:-1])), limit
+        entries = _flat(blocks)
+        assert all(new is old for new, old in zip(entries, _flat(kept))), limit
+        assert [q for q, *_ in entries] == [p for p in range(bound + 1) if is_prime_oracle(p)], limit
+    assert {q: row for q, _, _, row in entries}[7] is row and row == pairs
 
 
 def _planted(rng, bits: int, ell: int) -> int:
@@ -366,6 +405,99 @@ def test_perfect_power_base_divisible_by_first_witness():
             assert pow(n, (r - 1) // q, r) == 1
             assert perfect_power_root_oracle(n) is None, (q, bits)
             assert perfect_power(n) is None, (q, bits)
+
+
+def _block_qs(limit: int) -> list[list[int]]:
+    """The q of each block of the witness table, for the blocks that start at or below limit."""
+    return [[q for q, *_ in block] for _, block in arith._entries_through(limit) if block[0][0] <= limit]
+
+
+def test_perfect_power_at_block_edges():
+    # bit lengths one below, at and one past the first and the last q of a
+    # block: the loop leaves at the first q past bits(n), in the block or at
+    # the start of the next one
+    rng = random.Random(28)
+    edges = sorted({qs[0] for qs in _block_qs(1200)} | {qs[-1] for qs in _block_qs(1200)})
+    assert len(edges) >= 6
+    for q in edges:
+        for bits in {max(q - 1, 2), q, q + 1}:
+            n = rng.randrange(2 ** (bits - 1), 2**bits)
+            assert perfect_power(n) == perfect_power_root_oracle(n), bits
+        # powers whose bit length is q itself
+        for ell in (2, 3, 5, 7):
+            lo, hi = iroot_oracle(2 ** (q - 1) - 1, ell) + 1, iroot_oracle(2**q - 1, ell)
+            if lo <= hi:
+                n = rng.randint(lo, hi) ** ell
+                assert n.bit_length() == q
+                assert perfect_power(n) == perfect_power_root_oracle(n), (q, ell)
+                assert perfect_power(n)[1] % ell == 0
+
+
+def test_perfect_power_root_replaces_the_base_mid_block():
+    # w**(q1*q2): the root at q1 replaces the base, which is reduced mod the
+    # block's m again before q2 comes, in the same block or in a later one
+    first, second = _block_qs(200)[:2]
+    same = [(first[0], first[1]), (first[0], first[-1]), (first[1], first[2]), (second[0], second[1])]
+    apart = [(first[0], second[0]), (first[-1], second[0]), (first[2], second[-1])]
+    for q1, q2 in same + apart:
+        for w in (3, 10, 2**13 - 1):
+            n = w ** (q1 * q2)
+            if n.bit_length() <= 20_000:
+                assert perfect_power(n) == perfect_power_root_oracle(n) == (w, q1 * q2), (w, q1, q2)
+            # and one off a power, so q1's root is tried and fails
+            assert perfect_power(n + 2) == perfect_power_valuation_oracle(n + 2), (w, q1, q2)
+
+
+def test_a_root_is_reduced_again_before_its_next_test(monkeypatch):
+    # after a root replaces the base, each first witness reads the root's
+    # residue: a stale residue of the old base would send q1 to the rest of
+    # its row again, as the old base is a q1-th power
+    rng = random.Random(30)
+    first, second = _block_qs(200)[:2]
+    survivor, reached = arith._survivor_root, []
+    monkeypatch.setattr(arith, "_survivor_root", lambda n, q, row: reached.append(q) or survivor(n, q, row))
+    for q1, q2 in ((first[1], first[3]), (first[2], second[1])):
+        r1, w = next(_witnesses_oracle(q1)), rng.randrange(2**63, 2**64)
+        while pow(w, q2 * (r1 - 1) // q1, r1) < 2:  # the root w**q2 must fail q1's first witness
+            w += 1
+        base, standing = w ** (q1 * q2), []
+        for q in filter(is_prime_oracle, count(2)):
+            if q > base.bit_length():
+                break
+            r = next(_witnesses_oracle(q))
+            while base % r == 0 or pow(base, (r - 1) // q, r) == 1:
+                standing.append(q)
+                if (root := exact_root(base, q)) is None:
+                    break
+                base = root
+        reached.clear()
+        assert perfect_power(w ** (q1 * q2)) == (w, q1 * q2)
+        assert reached == standing and standing.count(q1) == 1, (q1, q2)
+
+
+def test_perfect_power_first_witness_divides_the_base_at_block_edges():
+    # the first witness r of q divides w, so the block's residue is 0 mod r,
+    # r says nothing, and the rest of q's row and exact_root decide
+    rng = random.Random(29)
+    for qs in _block_qs(400)[:2]:
+        for q in (qs[0], qs[-1]):
+            r = next(_witnesses_oracle(q))
+            w = r * rng.randrange(2**20, 2**21)
+            for n in (w**q, w**q * r, w ** (2 * q)):
+                assert perfect_power(n) == perfect_power_root_oracle(n), (q, n.bit_length())
+
+
+def test_perfect_power_matches_oracles_on_the_sweep_terms():
+    # B_1 .. B_120 of the sweep generators, up to about 117,000 bits: every
+    # term against the valuation oracle, those up to 3,000 bits against the
+    # root oracle too
+    for b, P in SWEEP:
+        for t in generate(make_curve_xb(b), P, 120).terms:
+            if t.B > 1:
+                got = perfect_power(t.B)
+                assert got == perfect_power_valuation_oracle(t.B), (b, P, t.m)
+                if t.B.bit_length() <= 3000:
+                    assert got == perfect_power_root_oracle(t.B), (b, P, t.m)
 
 
 def _split(n: int) -> tuple[int, int]:

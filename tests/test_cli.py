@@ -269,6 +269,20 @@ def test_ledger_malformed_table_record_is_usage_error(capsys, tmp_path):
     assert err == "error: malformed eigenvalue record: 'L\\t0\\tseven\\t15\\n'\n"
 
 
+@pytest.mark.parametrize("record", ["L49\t0\t7_0\t0", "L49\t0\t\u0667\t0"])
+def test_ledger_table_number_outside_ascii_decimal_is_usage_error(capsys, tmp_path, record):
+    # int() would read 7_0 as p = 70 and the Arabic-Indic digit as p = 7
+    path = tmp_path / "eig.tsv"
+    path.write_text(f"L49\t0\t7\t0\n{record}\n", encoding="utf-8")
+    assert main([
+        "ledger", "--b", "5", "--point", "6241/1296,543599/46656",
+        "--q", "2", "--c-config", "100", "--eigen-table", str(path),
+    ]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: malformed eigenvalue record: {record + chr(10)!r}\n"
+
+
 def test_exit_codes(capsys):
     assert main(["gen", "--b", "5", "--point", "0,0", "--max-m", "2"]) == 3
     capsys.readouterr()

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -7,7 +6,6 @@ from edspower import (
     Budget,
     EDSTerm,
     HypothesisError,
-    Point,
     arith,
     construct,
     decompose,
@@ -18,16 +16,7 @@ from edspower import (
     term,
     to_frey,
 )
-from helpers import small_peak
-
-# (b, generator): (20, 90) on b = 5, its double, a b = 8 generator and the
-# b = 14 ledger point
-SWEEP = (
-    (5, Point(20, 90)),
-    (5, Point(Fraction(6241, 1296), Fraction(543599, 46656))),
-    (8, Point(Fraction(49, 36), Fraction(-791, 216))),
-    (14, Point(Fraction(103058, 2209), Fraction(-33190578, 103823))),
-)
+from helpers import SWEEP, small_peak
 
 
 def test_known_decompositions(base_curve, base_point, base_seq):

@@ -17,6 +17,7 @@ from edspower import (
     FreySolution,
     Point,
     QuadElement,
+    bad_set,
     build_report,
     check_strong_divisibility,
     check_valuation_growth,
@@ -82,6 +83,9 @@ SITES = [
     ("QuadElement.x", lambda x: QuadElement(5, x, 1), "coordinates must be integers", BAD[:-1]),
     ("QuadElement.y", lambda y: QuadElement(5, 1, y), "coordinates must be integers", BAD[:-1]),
     ("primes_above.a", lambda a: primes_above(a, 5), _positive("a"), BAD),
+    # 2*a*d would make a bool an int, and 0 would reach factorize unnamed
+    ("bad_set.a", lambda a: bad_set(a, 5), _positive("a"), (*BAD, -5)),
+    ("bad_set.d", lambda d: bad_set(1, d), _positive("d"), (*BAD, -5)),
     *((f"threshold.{f}", lambda v, f=f: _threshold(**{f: v}), _positive(f), BAD)
       for f in ("k", "b", "c_config", "p0")),
     ("build_report.c_config", lambda c: build_report(C, TWO_P, 2, c), _positive("c_config"), BAD),
@@ -123,6 +127,7 @@ def test_integer_inputs_accept_their_least_values():
     assert Budget(trial_bound=2, rho_iterations=0).rho_iterations == 0
     assert threshold(1, 1, 1, 1) == 5
     assert construct(SOLUTION).solution == SOLUTION
+    assert bad_set(1, 1) == {2}
     assert extend(SEQ, 1) is SEQ
     assert find_k_p0(SEQ_2P, 2, {2, 5}, search_cap=2) == (3, 7, ())
     assert build_report(C, TWO_P, 2, 100, search_cap=2).p0 == 7

@@ -223,6 +223,19 @@ def test_load_eigenvalue_table():
             load_eigenvalue_table(["# fine", "L49a\t0\t7\t0", raw])
 
 
+def test_eigenvalue_table_numbers_are_ascii_decimal():
+    # each number is [+-]?[0-9]+, as --point takes it; int() alone would read
+    # 7_0 as 70, a non-ASCII digit as its value and " 7" as 7
+    assert load_eigenvalue_table(["L\t+0\t+7\t-3", "L -1 007 +0"]) == [
+        EigenRecord("L", 0, 7, -3),
+        EigenRecord("L", -1, 7, 0),
+    ]
+    for raw in ("L49\t0\t7_0\t0", "L\t0\t\u0667\t0", "L 0 \uff17 0", "L\t0\t7\t\u00b2",
+                "L\t0\t 7\t0", "L\t0\t+-7\t0", "L\t--1\t7\t0", "L\t0\t0x7\t0", "L\t0\t7\t+"):
+        with pytest.raises(ValueError, match=f"^malformed eigenvalue record: {re.escape(repr(raw))}$"):
+            load_eigenvalue_table(["L49a\t0\t7\t0", raw])
+
+
 @pytest.fixture(scope="module")
 def doubled_report(base_curve, doubled_point):
     return build_report(base_curve, doubled_point, 2, 100)
