@@ -297,24 +297,38 @@ def _next_witness(q: int, r: int) -> tuple[int, int]:
 def _entries_through(limit: int) -> list[tuple[int, list[tuple[int, int, int, list[tuple[int, int]]]]]]:
     """The table's blocks (m, entries), with an entry for each prime q <= limit and maybe more.
 
-    A limit past the bound re-sieves by a plain sieve, up to twice the bound
-    or to the limit if larger (limits stay small here).  Only the primes past
-    the old bound get a new entry, with its first witness; the rows already
-    kept carry over as they are, and so does every block but the last,
-    which is cut again with the new entries after its own.  The bound starts
-    at 1, so the sieve is never read at 0 or 1.
+    A limit past the bound grows the table to the limit and then only as far
+    as it takes to fill the last block, so a long input builds the witnesses
+    it needs and at most one block more, and limits that rise one by one
+    grow it once per block.  Only the primes past the old bound get a new
+    entry, with its first witness; they come from a sieve of the window
+    past the bound alone, by the primes up to its root, so no number is
+    sieved twice.  The window ends 2 * _BLOCK * bits(limit) past the limit,
+    which holds the primes that fill the block for every limit up to 3*10^6;
+    should it run out, the bound is its end.  The rows already kept carry
+    over as they are, and so does every block but the last, which is cut
+    again with the new entries after its own.  The bound starts at 1, so the
+    window never holds 0 or 1.
     """
     global _table
     old, blocks = _table
     if limit > old:
-        bound = max(limit, 2 * old)
-        sieve = bytearray([1]) * (bound + 1)
-        for p in range(2, isqrt(bound) + 1):
+        bound = limit + 2 * _BLOCK * limit.bit_length()
+        root = isqrt(bound)
+        sieve, window = bytearray([1]) * (root + 1), bytearray([1]) * (bound - old)
+        for p in range(2, root + 1):
             if sieve[p]:
                 sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        new = compress(range(old + 1, bound + 1), sieve[old + 1 :])
+                # window[i] is old + 1 + i; p's first multiple to strike is at least p * p
+                i = max(p * p, old + 1 + -(old + 1) % p) - old - 1
+                window[i::p] = bytearray(len(window[i::p]))
         entries = [entry for _, block in blocks[-1:] for entry in block]
-        entries += [(q, r, e, [(r, e)]) for q in new for r, e in [_next_witness(q, 1)]]
+        for q in compress(range(old + 1, bound + 1), window):
+            if q > limit and len(entries) % _BLOCK == 0:
+                bound = q - 1
+                break
+            r, e = _next_witness(q, 1)
+            entries.append((q, r, e, [(r, e)]))
         cuts = [entries[i : i + _BLOCK] for i in range(0, len(entries), _BLOCK)]
         blocks = blocks[:-1] + [(prod(r for _, r, _, _ in cut), cut) for cut in cuts]
         _table = bound, blocks

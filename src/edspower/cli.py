@@ -50,34 +50,72 @@ def _parse_point(text: str) -> Point:
         raise ValueError(f"cannot parse point {text!r}: {exc}") from exc
 
 
-def _json(obj, pad: str = "\n") -> str:
+def _json(obj) -> str:
     """The JSON text of a result, in one walk, as json.dumps(indent=2) writes it.
 
-    pad is a newline and the indent of obj's line.  Integers and rationals
-    become decimal strings, an Enum its value (every Enum here is a str
-    Enum), a set a sorted list, a QuadElement {"x", "y", "display"}, and
-    any other dataclass an object read from vars(): every result is a
-    dataclass whose __dict__ holds exactly its fields, in field order.
-    Dict keys are str.
+    Integers and rationals become decimal strings, an Enum its value (every
+    Enum here is a str Enum), a set a sorted list, a QuadElement {"x", "y",
+    "display"}, and any other dataclass an object read from vars(): every
+    result is a dataclass whose __dict__ holds exactly its fields, in field
+    order.  Dict keys are str.  Every piece goes on one list, joined once.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, pad: str, out: list[str]) -> None:
+    """Append the JSON text of obj to out; pad is a newline and the indent of obj's line.
+
+    A container writes its int and str members itself, each with the text
+    before it in one piece, and hands every other member back to _write.
     """
     if isinstance(obj, str):  # a str Enum too, whose text is its value
-        return encode_basestring_ascii(obj)
+        out.append(encode_basestring_ascii(obj))
+        return
     if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
+        out.append("null" if obj is None else "true" if obj else "false")
+        return
     if isinstance(obj, (int, Fraction)):
-        return '"%s"' % obj
-    inner = pad + "  "
+        out.append('"%s"' % obj)
+        return
     if isinstance(obj, (set, frozenset)):
         obj = sorted(obj)
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        items = [_json(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+        if not obj:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            if type(v) is int:
+                out.append(f'{sep}"{v}"')
+            elif type(v) is str:
+                out.append(sep + encode_basestring_ascii(v))
+            else:
+                out.append(sep)
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+        return
     if isinstance(obj, QuadElement):
         obj = {"x": obj.x, "y": obj.y, "display": str(obj)}
     elif not isinstance(obj, dict):
         obj = vars(obj)
-    items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
-    return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if not obj:
+        out.append("{}")
+        return
+    sep = "{" + inner
+    for k, v in obj.items():
+        if type(v) is int:
+            out.append(f'{sep}{encode_basestring_ascii(k)}: "{v}"')
+        elif type(v) is str:
+            out.append(f"{sep}{encode_basestring_ascii(k)}: {encode_basestring_ascii(v)}")
+        else:
+            out.append(f"{sep}{encode_basestring_ascii(k)}: ")
+            _write(v, inner, out)
+        sep = "," + inner
+    out.append(pad + "}")
 
 
 def _leaf(value) -> str:
@@ -259,18 +297,37 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = {HypothesisError: 3, BudgetExhausted: 4, ValueError: 2, ArithmeticError: 5}
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), parsed by the named command's own subparser.
+
+    The full parser would hand the command's arguments to the same
+    subparser, which reports its own errors and --help, after a top-level
+    pass that costs as much again.  Only argv that names no command, or
+    leaves arguments the subparser does not know, goes through the full
+    parser, so that its usage errors, their text and their exit codes stay.
+    """
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
     # Terms outgrow the int/str digit limit (Python 3.10.7 and later) near
-    # m = 55; lift it for this call only, so in-process callers keep theirs.
+    # m = 55, and the options that read them back (frey --u, --v, --w) parse
+    # as int; lift it for this call only, so in-process callers keep theirs.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        try:
+            args = _parse_args(sys.argv[1:] if argv is None else argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         try:
             result = args.handler(args)
         except tuple(_EXIT_CODES) as exc:

@@ -9,12 +9,14 @@ import pytest
 from edspower import (
     Budget,
     BudgetExhausted,
+    Point,
     exact_root,
     factorize,
     generate,
     is_probable_prime,
     make_curve_xb,
     perfect_power,
+    scan_powers,
     valuation,
 )
 from edspower import arith
@@ -314,17 +316,23 @@ def test_first_witness_settles_most_exponents_inline(monkeypatch):
     assert reached == standing and len(standing) < 10
 
 
-def test_prime_list_is_kept_and_grown_by_doubling(monkeypatch):
+def test_prime_list_is_kept_and_grown_a_block_past_the_limit(monkeypatch):
     # perfect_power walks one module-level table with an entry for each prime
-    # up to a bound, re-sieved at twice the bound (or at the limit) only when a
-    # limit passes it, and cut into blocks
+    # up to a bound, grown only when a limit passes it: to the limit and on to
+    # the end of its last block, so every block is full and the bound is one
+    # below the first prime left out
+    primes = [p for p in range(2000) if is_prime_oracle(p)]
     monkeypatch.setattr(arith, "_table", (1, []))
-    for limit, bound in [(5, 5), (6, 10), (7, 10), (10, 10), (25, 25), (26, 50), (3, 50)]:
+    # the 24th prime is 89 and the 168th is 997, the last below 1000
+    for limit, count in [(2, 24), (89, 24), (96, 24), (97, 48), (3, 48), (1000, 168), (1009, 192)]:
         blocks = arith._entries_through(limit)
-        assert arith._table == (bound, blocks), limit
+        assert arith._table == (primes[count] - 1, blocks), limit
         _check_blocks(blocks)
-        assert [q for q, *_ in _entries(limit)] == [p for p in range(bound + 1) if is_prime_oracle(p)], limit
-    assert perfect_power(3**200) == (3, 200) and arith._table[0] == 317
+        assert all(len(block) == arith._BLOCK for _, block in blocks), limit
+        assert [q for q, *_ in _flat(blocks)] == primes[:count], limit
+    # 3**200 has 317 bits, and 66 primes are at most 317
+    monkeypatch.setattr(arith, "_table", (1, []))
+    assert perfect_power(3**200) == (3, 200) and arith._table[0] == primes[72] - 1
     _check_blocks(arith._table[1])
 
 
@@ -338,18 +346,33 @@ def test_rows_carry_over_when_the_table_grows(monkeypatch):
     row = _row(7)
     assert arith._survivor_root(1, 7, row) == 1 and len(row) == 8
     pairs = list(row)
-    # the last block is short at 7, and full at 1000 when the block size
-    # divides the 168 primes up to 1000, as 24 does
-    for limit, bound in ((1000, 1000), (1001, 2000), (2001, 4000)):
-        kept = arith._table[1]
+    # each growth fills its last block, so a limit that rises by one grows the
+    # table once per block
+    for limit in (1000, 1001, 1009, 2001, 4000):
+        old, kept = arith._table
         blocks = arith._entries_through(limit)
-        assert arith._table == (bound, blocks), limit
+        bound = arith._table[0]
+        assert arith._table == (bound, blocks) and bound >= limit, limit
         _check_blocks(blocks)
         assert all(new is old for new, old in zip(blocks, kept[:-1])), limit
         entries = _flat(blocks)
         assert all(new is old for new, old in zip(entries, _flat(kept))), limit
         assert [q for q, *_ in entries] == [p for p in range(bound + 1) if is_prime_oracle(p)], limit
+        assert (blocks is kept) == (limit <= old), limit
     assert {q: row for q, _, _, row in entries}[7] is row and row == pairs
+
+
+def test_witnesses_are_built_only_for_the_exponents_a_scan_needs(monkeypatch):
+    # B_200 of (20, 90) on b = 5 has 64,745 bits, and 6,472 primes are at
+    # most that; a table grown to twice its bound held 11,554 entries
+    s = generate(make_curve_xb(5), Point(20, 90), 200)
+    bits = s.terms[-1].B.bit_length()
+    primes = [p for p in range(bits + 1) if is_prime_oracle(p)]
+    monkeypatch.setattr(arith, "_table", (1, []))
+    assert scan_powers(s) == [(2, 2, 6)]
+    entries = _flat(arith._table[1])
+    assert (bits, len(primes), len(entries)) == (64_745, 6_472, 6_480)
+    assert [q for q, *_ in entries[: len(primes)]] == primes
 
 
 def _planted(rng, bits: int, ell: int) -> int:

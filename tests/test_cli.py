@@ -21,7 +21,7 @@ from edspower import (
     generate,
     make_curve_xb,
 )
-from edspower.cli import _json, _parse_point, build_parser, main
+from edspower.cli import _json, _parse_args, _parse_point, build_parser, main
 from edspower.frey import Reduction
 from edspower.ledger import CandidateField, LevelEntry
 from edspower.quadfield import QuadElement, SplitType
@@ -163,6 +163,22 @@ def test_malformed_arguments_are_usage_errors(capsys, argv, err):
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", err)
+
+
+def test_integers_past_the_digit_limit_round_trip_through_frey(capsys):
+    # descend's frey_solution at m = 80 has u, v and w of 3,119, 6,238 and
+    # 3,119 digits, past the default 4,300-digit limit of Python 3.10.7 and
+    # later for v; frey reads them back as int options
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    sol = run_json(capsys, ["descend", "--b", "5", "--point", "20,90", "--m", "80", "--ell", "1"])["frey_solution"]
+    assert [len(sol[k]) for k in "uvw"] == [3119, 6238, 3119]
+    argv = ["frey"] + [arg for k in ("a", "d", "u", "v", "w", "ell") for arg in (f"--{k}", sol[k])]
+    assert run_json(capsys, argv)["solution"] == sol
+    assert get_limit() == limit
+    # and a parse that fails restores it too
+    assert main(["frey", "--a", "x"]) == 2
+    assert get_limit() == limit
 
 
 def test_frey_document(capsys):
@@ -467,6 +483,43 @@ def test_golden_output(capsys, tmp_path, command, code, err, digest):
     captured = capsys.readouterr()
     assert captured.err == err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [g[0] for g in GOLDEN], ids=["_".join(g[0].split()) for g in GOLDEN])
+def test_the_command_parser_reads_what_the_full_parser_reads(tmp_path, command):
+    argv = golden_argv(command, tmp_path)
+    args = vars(_parse_args(argv))
+    assert args == vars(build_parser().parse_args(argv))
+    assert args["command"] == argv[0]
+
+
+def test_a_well_formed_command_skips_the_top_level_parse(capsys, monkeypatch):
+    def full_parse(argv):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(build_parser(), "parse_args", full_parse)
+    argv = ["ledger", "--b", "5", "--point", TWO_P, "--q", "2", "--c-config", "100"]
+    assert run_json(capsys, argv)["k"] == "3"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--help"],
+    ["nope"],
+    ["ledger"],
+    ["ledger", "--help"],
+    ["ledger", "--b", "5", "--point", TWO_P, "--q", "2", "--c-config", "100", "--bogus"],
+    ["gen", "--b", "x", "--point", "20,90", "--max-m", "4"],
+], ids=["empty", "help", "unknown-command", "ledger-bare", "ledger-help", "ledger-bogus", "gen-b-not-int"])
+def test_usage_errors_and_help_match_the_full_parser(capsys, argv):
+    # the same interpreter's argparse is the reference, so its usage text may
+    # differ between Python versions
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert main(argv) == int(exc.value.code or 0)
+    assert capsys.readouterr() == expected
+    assert expected.err or expected.out.startswith("usage: edspower")
 
 
 def _leaf_strings(node):
