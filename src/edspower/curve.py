@@ -4,10 +4,11 @@ Every curve of the package belongs to this one family.  Its discriminant
 -64b^3 never vanishes, so every member is nonsingular.  Points are affine,
 with exact Fraction coordinates: no multiple of a non-torsion point is O,
 so there is no point at infinity.  The multiples nP come from one integer
-recurrence, the elliptic net of P, with y(nP) read off squares shared
-between neighbouring windows and x(nP) reduced over the primes of 2b only
-(Ayad 1992); there is no chord-tangent group law here.  No floating point
-anywhere: the sequences downstream need bit-exact denominators.
+recurrence, the elliptic net of P, with x(nP) and y(nP) read off products
+that the net's duplication formulas share and x(nP) reduced over the primes
+of 2b only (Ayad 1992); there is no chord-tangent group law here.  No
+floating point anywhere: the sequences downstream need bit-exact
+denominators.
 """
 from __future__ import annotations
 
@@ -49,12 +50,17 @@ make_curve_xb = Curve  # the name edsbench calls
 
 
 def on_curve(c: Curve, P: Point) -> bool:
-    """Exact check of the curve equation."""
-    x, y = P.x, P.y
-    return y * y == x * (x * x + c.b)
+    """Exact check of the curve equation.
+
+    With x = p/q and y = r/s in lowest terms, x(x^2 + b) = p(p^2 + b q^2)/q^3
+    is in lowest terms too, so the equation holds exactly when s^2 = q^3 and
+    r^2 = p(p^2 + b q^2).
+    """
+    p, q, r, s = P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator
+    return s * s == q * q * q and r * r == p * (p * p + c.b * q * q)
 
 
-def net(c: Curve, P: Point) -> Callable[[int], tuple[int, int, int]]:
+def net(c: Curve, P: Point) -> Callable[..., tuple[int, int, int]]:
     """n -> (A_n, B_n, C_n) of nP = (A_n/B_n^2, C_n/B_n^3), read off the elliptic net of P.
 
     P must be a non-torsion point of c.  With P = (A/B^2, C/B^3)
@@ -65,18 +71,28 @@ def net(c: Curve, P: Point) -> Callable[[int], tuple[int, int, int]]:
     A prime at which P is non-singular divides no common factor of the
     numerator and denominator of x(nP) (Ayad 1992, "Points S-entiers des
     courbes elliptiques"), and the singular primes divide the discriminant
-    -64b^3.  So x(nP) is reduced by gcds with Dj, the largest power of 2b
-    below 2^30 (2b itself when larger), which stays one digit of an int:
-    never by a gcd of two numbers of twice the bits of B_n.
+    -64b^3.  So the common factor of x(nP) is the gcd of residues modulo
+    Dj, the largest power of 2b below 2^30 (2b itself when larger), which
+    stays one digit of an int; only when a prime of 2b divides it as often
+    as Dj are the residues taken again modulo Dj^2, Dj^4, ...  There is never
+    a gcd of two numbers of twice the bits of B_n.
     Where P is singular mod p, W_n carries p^(g n^2 - r(n)) beyond B_n, with
     r periodic in n (local heights): at some generators more bits than B_n
     itself.  The reduction there is additive, so 5P lies on the component of
     +-P and the excess of W_5 is H = prod p^(24 g).  The memo holds
     V_n = W_n / H^t(n), t(n) = (n^2 - 1) // 24, with about the bits of B_n;
-    every division is checked to be exact.  The net also keeps the squares
-    of V_{n-1} .. V_{n+1} from its last call, so along a sequence each
-    square V_n^2 is taken once and serves in x(nP) and in the y of both
-    neighbours.
+    every division is checked to be exact.
+    A second memo holds three products per index j: the square
+    s_j = V_j^2, the neighbour product d_j = V_{j-1} V_{j+1} and the
+    y-numerator W_{j+2} W_{j-1}^2 - W_{j-2} W_{j+1}^2 = H^m(j) o_j.  The
+    term n reads s_{n-1} .. s_{n+1}, d_n and o_n, and the duplication
+    formulas read the same products at half the index, unscaled
+        W_{2k+1} = d_{k+1} s_k - d_k s_{k+1},  W_{2k} = W_k o_k / W_2,
+    so along a sequence each product is formed once.  The memo is a cache:
+    whatever it lacks is formed again.  f(n, M) tells the net that the
+    calls run n, n + 1, .. M: it then drops each product once its last
+    reader on that path has run, and keeps none that only indices past M
+    would read.
     """
     if not on_curve(c, P):
         raise ValueError("point does not satisfy the curve equation")
@@ -89,69 +105,117 @@ def net(c: Curve, P: Point) -> Callable[[int], tuple[int, int, int]]:
         Dj *= 2 * c.b
     W = {-1: -1, 0: 0, 1: 1, 2: 2 * C, 3: 3 * A2 * A2 + 6 * u * A2 - u * u,
          4: 4 * C * (A2**3 + 5 * u * A2 * A2 - 5 * u * u * A2 - u**3)}
-    W1 = dict(W)  # the unscaled W_5 .. W_7 stay in this copy
-    H = B * abs(_w(W1, 1, 5)) // _multiple(W1, 1, A, B, Dj, {}, 5)[1]
-    return functools.partial(_multiple, W, H, A, B, Dj, {})
+    W1, Q1 = dict(W), ({}, {}, {})  # the unscaled W_5 .. W_7 and their products stay in these copies
+    H = B * abs(_w(W1, 1, Q1, 5)) // _multiple(W1, 1, A, B, Dj, Q1, 5)[1]
+    return functools.partial(_multiple, W, H, A, B, Dj, ({}, {}, {}))
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _t(n: int) -> int:
     """The power of H taken out of W_n."""
     return max(n * n - 1, 0) // 24
 
 
-def _quotient(H: int, a: int, X: int, b: int, Y: int, c: int, d: int = 1, f: int = 1) -> int:
-    """f (H^a X - H^b Y) / (d H^c), which must be an integer."""
+@functools.lru_cache(maxsize=1 << 12)
+def _m(j: int) -> int:
+    """The power of H taken out of the y-numerator at j."""
+    return min(_t(j + 2) + 2 * _t(j - 1), _t(j - 2) + 2 * _t(j + 1))
+
+
+def _quotient(H: int, a: int, X: int, b: int, Y: int, c: int, d: int = 1) -> int:
+    """(H^a X - H^b Y) / (d H^c), which must be an integer."""
     m = min(a, b, c)
-    q, r = divmod(f * (X * H ** (a - m) - Y * H ** (b - m)), d * H ** (c - m))
+    q, r = divmod(X * H ** (a - m) - Y * H ** (b - m), d * H ** (c - m))
     if r:
         raise ArithmeticError("a term of the elliptic net is not an integer")
     return q
 
 
-def _w(W: dict[int, int], H: int, n: int) -> int:
+def _w(W: dict[int, int], H: int, Q: tuple[dict[int, int], ...], n: int) -> int:
     """V_n by the duplication formulas, memoised in W.
 
-    A plain function handed the dict: a self-calling closure would put each
+    Plain functions handed the dicts: a self-calling closure would put each
     memo in a reference cycle, which only the cyclic garbage collector frees.
     """
     v = W.get(n)
     if v is None:
-        k, t, w = n >> 1, _t, functools.partial(_w, W, H)
+        k, t = n >> 1, _t
         if n & 1:
-            v = _quotient(H, t(k + 2) + 3 * t(k), w(k + 2) * w(k) ** 3,
-                          t(k - 1) + 3 * t(k + 1), w(k - 1) * w(k + 1) ** 3, t(n))
+            v = _quotient(H, t(k + 2) + 3 * t(k), _nb(W, H, Q, k + 1) * _sq(W, H, Q, k),
+                          t(k - 1) + 3 * t(k + 1), _nb(W, H, Q, k) * _sq(W, H, Q, k + 1), t(n))
         else:
-            v = _quotient(H, t(k + 2) + 2 * t(k - 1), w(k + 2) * w(k - 1) ** 2,
-                          t(k - 2) + 2 * t(k + 1), w(k - 2) * w(k + 1) ** 2, t(n) - t(k), W[2], w(k))
+            m = _m(k)
+            v = _quotient(H, m, _w(W, H, Q, k) * _om(W, H, Q, k), m, 0, t(n) - t(k), W[2])
         W[n] = v
     return v
 
 
-def _multiple(W: dict[int, int], H: int, A: int, B: int, Dj: int, S: dict[int, int],
-              n: int) -> tuple[int, int, int]:
-    """(A_n, B_n, C_n) from the window V_{n-2} .. V_{n+2}.
+def _sq(W: dict[int, int], H: int, Q: tuple[dict[int, int], ...], j: int) -> int:
+    """s_j = V_j^2, memoised in Q[0]."""
+    s = Q[0].get(j)
+    if s is None:
+        s = Q[0][j] = _w(W, H, Q, j) ** 2
+    return s
 
-    S holds the squares of the last call's V_{n-1} .. V_{n+1}: those inside
-    this window are reused, the others dropped.
+
+def _nb(W: dict[int, int], H: int, Q: tuple[dict[int, int], ...], j: int) -> int:
+    """d_j = V_{j-1} V_{j+1}, memoised in Q[1]."""
+    d = Q[1].get(j)
+    if d is None:
+        d = Q[1][j] = _w(W, H, Q, j - 1) * _w(W, H, Q, j + 1)
+    return d
+
+
+def _om(W: dict[int, int], H: int, Q: tuple[dict[int, int], ...], j: int) -> int:
+    """o_j = (W_{j+2} W_{j-1}^2 - W_{j-2} W_{j+1}^2) / H^m(j), memoised in Q[2]."""
+    o = Q[2].get(j)
+    if o is None:
+        t, m = _t, _m(j)
+        o = Q[2][j] = (_w(W, H, Q, j + 2) * _sq(W, H, Q, j - 1) * H ** (t(j + 2) + 2 * t(j - 1) - m)
+                       - _w(W, H, Q, j - 2) * _sq(W, H, Q, j + 1) * H ** (t(j - 2) + 2 * t(j + 1) - m))
+    return o
+
+
+def _multiple(W: dict[int, int], H: int, A: int, B: int, Dj: int, Q: tuple[dict[int, int], ...],
+              n: int, last: int | None = None) -> tuple[int, int, int]:
+    """(A_n, B_n, C_n) from the products s_{n-1} .. s_{n+1}, d_n and o_n.
+
+    With last, the calls run n, n + 1, .. last, and the products that no
+    later call on that path reads are dropped from Q.
     """
-    wm2, wm1, w, wp1, wp2 = (_w(W, H, i) for i in range(n - 2, n + 3))
-    sq = {i: S.get(i) or _w(W, H, i) ** 2 for i in range(n - 1, n + 2)}
-    S.clear()
-    S.update(sq)
     t = _t
+    o, ww = _om(W, H, Q, n), _sq(W, H, Q, n)
+    w = W[n]
     e = t(n - 1) + t(n + 1) - 2 * t(n)
-    k = max(0, 1 - e) // 2  # x = num / den^2 with no negative power of H
-    ww, Hk = sq[n], H**k
-    num, den2 = A * Hk * Hk * ww - wm1 * wp1 * H ** (e + 2 * k), (B * Hk) ** 2 * ww
-    # gcd(num, den2) divides a power of 2b: strip it one single-digit gcd at a time
-    g = 1
-    while (r := gcd(num % Dj, den2 % Dj, Dj)) > 1:
-        num, den2, g = num // r, den2 // r, g * r
+    # x = (A s_n - d_n H^e) / (B^2 s_n).  At e = -1 (k = 1) both are taken
+    # times H^2, so that den = B H V_n is an integer; num is then the
+    # numerator over H, and that H, common to both, goes into g at once
+    k = max(0, 1 - e) // 2
+    Hk = H**k
+    num = A * Hk * ww - _nb(W, H, Q, n) * H ** (e + k)
+    # gcd(num, den^2 / H^k) divides a power of 2b, so its gcd with R = Dj, read
+    # off residues, is all of it unless a prime of 2b divides it as often as R;
+    # only then is R squared and the residues taken again
+    R = Dj
+    while pow(R // (g := gcd(num % R, B * B * Hk * (w % R) ** 2 % R, R)), R.bit_length(), R):
+        R *= R
+    if g > 1:
+        num //= g
+    g *= Hk
     s = isqrt(g)
     if s * s != g:
         raise ArithmeticError(f"x-denominator of {n}P is not a perfect square")
-    Cn = _quotient(H, t(n + 2) + 2 * t(n - 1) + 3 * k, wp2 * sq[n - 1],
-                   t(n - 2) + 2 * t(n + 1) + 3 * k, wm2 * sq[n + 1], 3 * t(n), 2 * W[2] * s**3)
+    a = _m(n) + 3 * k
+    Cn = _quotient(H, a, o, a, 0, 3 * t(n), 2 * W[2] * s**3)
+    if last is not None:
+        S, D, O = Q
+        # on the path n, n + 1, .., V_{2j+1} is the last reader of s_j and d_j
+        # and V_{2j} of o_j; this call formed V_{n+2}, so j = n // 2 + 1
+        for memo in (S, D) if n & 1 else (O,):
+            memo.pop(n // 2 + 1, None)
+        if n > (last + 2) // 2 + 2:  # past the indices that V_1 .. V_{last+2} read
+            for memo, j in ((S, n - 1), (D, n), (O, n)):
+                memo.pop(j, None)
     return num, B * Hk * abs(w) // s, Cn if w > 0 else -Cn
 
 
@@ -168,6 +232,9 @@ def is_torsion(c: Curve, P: Point) -> bool:
     For b > 0 the affine rational torsion is (0, 0), except for b = 4t^4,
     which adds the points (2t^2, +-4t^3) of order 4 (Knapp, Elliptic
     Curves, the torsion of y^2 = x^3 + bx).  These are exactly the points
-    of c with x^2 = b: x(2P) = (x^2 - b)^2 / (4y^2) vanishes there.
+    of c with x^2 = b: x(2P) = (x^2 - b)^2 / (4y^2) vanishes there.  The
+    integer b is the square of a fraction only when that fraction is an
+    integer.
     """
-    return P.x == 0 or P.x * P.x == c.b
+    x = P.x.numerator
+    return x == 0 or (P.x.denominator == 1 and x * x == c.b)

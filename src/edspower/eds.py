@@ -63,14 +63,16 @@ def extend(s: Sequence, M: int) -> Sequence:
     """A sequence with at least M terms, reusing the ones already computed.
 
     Terms L+1..M come from a fresh net of the generator, whose memo
-    reaches them in about 2(M - L) net steps.  M must be a positive
-    integer.
+    reaches them in about 2(M - L) net steps.  The net is told that the
+    calls run up to M, so it drops each product once no later term reads
+    it and keeps none at indices that only terms past M would read.  M
+    must be a positive integer.
     """
     _require_positive(M, "M", "M must be positive")
     if M <= len(s.terms):
         return s
     f = net(s.curve, s.generator)
-    new = tuple(EDSTerm(m, *f(m)) for m in range(len(s.terms) + 1, M + 1))
+    new = tuple(EDSTerm(m, *f(m, M)) for m in range(len(s.terms) + 1, M + 1))
     return Sequence(s.curve, s.generator, s.terms + new)
 
 

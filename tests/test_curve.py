@@ -19,7 +19,7 @@ from edspower import (
 from edspower import curve, eds
 from edspower.curve import net
 
-from helpers import O, add, multiples_oracle, neg, torsion_oracle, weierstrass_invariants
+from helpers import SWEEP, O, add, multiples_oracle, neg, torsion_oracle, weierstrass_invariants
 
 
 def test_make_curve_xb():
@@ -193,49 +193,63 @@ def test_net_sheds_the_excess_of_singular_reduction():
     # (b = 80) and a point on a component of order 4 (b = 196), and the edges
     # of the reduction by gcds with D = 2b: a modulus of two limbs (2b > 2^64),
     # a deep power of 2 (b = 128, H = 2^42) and an odd b with a single 2 in D:
-    # terms 1..40 against the oracle, and every memoised net value within a few
-    # words of B_n (unscaled, W_40 of (100, (20, 100)) carries about 2,600 bits more).
-    # Random access too, on fresh nets and out of order on one: the net keeps
-    # only the squares of V_{m-1} .. V_{m+1}.  A new net's memo holds the seeds
-    # alone, so no unscaled W_5 .. W_7 from finding H is left in it
+    # terms 1..40 against the oracle, every memoised net value within a few
+    # words of B_n (unscaled, W_40 of (100, (20, 100)) carries about 2,600 bits
+    # more), and every product within a few words per factor.  Random access
+    # too, on fresh nets and out of order on one, with and without the end of
+    # a prefix.  A new net's memo holds the seeds alone and no product, so no
+    # unscaled W_5 .. W_7 from finding H is left in it
     assert net(make_curve_xb(128), Point(32, 192)).args[1] == 2**42
     for b, x, y in [(100, 20, 100), (196, 98, 980), (80, 80, 720), (18, 6, 18), (15, 15, 60), (5, 20, 90),
                     (19342813116668607771809189, Fraction(1, 4), Fraction(17592186045705, 8)),
                     (128, 32, 192), (163, 81, 738)]:
         c, P = make_curve_xb(b), Point(x, y)
         f = net(c, P)
-        assert sorted(f.args[0]) == [-1, 0, 1, 2, 3, 4], (b, x, y)
+        assert sorted(f.args[0]) == [-1, 0, 1, 2, 3, 4] and f.args[5] == ({}, {}, {}), (b, x, y)
         terms = [f(n) for n in range(1, 41)]
         assert terms == multiples_oracle(c, P, 40), (b, x, y)
-        memo = f.args[0]
-        assert all(memo[n].bit_length() <= terms[n - 1][1].bit_length() + 64 for n in range(1, 41)), (b, x, y)
+        memo, (S, D, O) = f.args[0], f.args[5]
+        bits = [0] + [t[1].bit_length() for t in terms]
+        assert all(memo[n].bit_length() <= bits[n] + 64 for n in range(1, 41)), (b, x, y)
+        assert all(S[j].bit_length() <= 2 * bits[j] + 128 for j in S if 1 <= j <= 40), (b, x, y)
+        assert all(D[j].bit_length() <= bits[j - 1] + bits[j + 1] + 128 for j in D if 2 <= j <= 39), (b, x, y)
+        assert all(O[j].bit_length() <= 3 * bits[j] + 192 for j in O if 1 <= j <= 40), (b, x, y)
         for m in [*range(1, 13), 40]:
             assert net(c, P)(m) == terms[m - 1], (b, x, y, m)
         for m in (40, 3, 39, 4, 5, 1, 2, 7, 6, 38, 40):
-            assert f(m) == terms[m - 1] and sorted(f.args[5]) == [m - 1, m, m + 1], (b, x, y, m)
+            assert f(m) == terms[m - 1] and f(m, 40) == terms[m - 1], (b, x, y, m)
 
 
-def test_net_reduces_by_a_digit_of_2b_and_keeps_three_squares(monkeypatch):
+def test_net_reduces_by_a_digit_of_2b_and_keeps_only_the_products_still_read(monkeypatch):
     # gcds with the largest power of 2b below 2^30, or with 2b when it is larger
     assert net(make_curve_xb(5), Point(20, 90)).args[4] == 10**9
     assert net(make_curve_xb(128), Point(32, 192)).args[4] == 2**24
     b = 19342813116668607771809189
     assert net(make_curve_xb(b), Point(Fraction(1, 4), Fraction(17592186045705, 8))).args[4] == 2 * b > 2**30
-    # along generate, the squares never outnumber the window
-    sizes = []
+    # along generate to M, V_1 .. V_{M+2} read products at indices up to
+    # (M + 3) // 2 only: past (M + 2) // 2 + 2 the memo keeps just the squares
+    # of the window, and below it a product goes once its last reader has run
+    # (V_{2j+1} for s_j and d_j, V_{2j} for o_j), so after term m none is left
+    # at 2 .. m // 2
+    M, seen = 60, []
+    L = (M + 2) // 2 + 2
 
     def counted(c, P):
         f = net(c, P)
 
-        def call(m):
-            out = f(m)
-            sizes.append(len(f.args[5]))
+        def call(m, last=None):
+            out = f(m, last)
+            S, D, O = f.args[5]
+            seen.append(m)
+            for memo in (S, D, O):
+                kept = [j for j in memo if not (j <= 1 or m // 2 < j <= L or (memo is S and j in (m, m + 1)))]
+                assert not kept, (m, kept)
             return out
         return call
 
     monkeypatch.setattr(eds, "net", counted)
-    generate(make_curve_xb(100), Point(20, 100), 60)
-    assert len(sizes) == 60 and max(sizes) == 3
+    generate(make_curve_xb(100), Point(20, 100), M)
+    assert seen == list(range(1, M + 1))
 
 
 # SHA-256 of the (A_m, B_m, C_m) of generate, each int as signed big-endian
@@ -258,6 +272,73 @@ def test_long_prefixes_are_pinned():
             for n in (t.A, t.B, t.C):
                 h.update(n.to_bytes(n.bit_length() // 8 + 1, "big", signed=True))
         assert h.hexdigest() == digest, (b, M)
+
+
+def test_a_resumed_prefix_and_a_late_jump_match_fresh_nets():
+    # extend from a non-empty prefix starts its net at L + 1 by random access
+    # and then runs along the prefix; a net that has run along 1..60, with and
+    # without the end of that prefix, then jumps past it
+    for b, x, y, M, _ in LONG_PREFIXES[:2]:
+        c, P = make_curve_xb(b), Point(x, y)
+        full = generate(c, P, M)
+        for L in (1, 37, M - 1):
+            assert eds.extend(eds.Sequence(c, P, full.terms[:L]), M) == full, (b, L)
+        for last in (None, 60):
+            f = net(c, P)
+            assert [f(m, last) for m in range(1, 61)] == [(t.A, t.B, t.C) for t in full.terms[:60]]
+            assert f(200) == net(c, P)(200) and f(61, 61) == net(c, P)(61), (b, last)
+
+
+def test_net_squares_the_modulus_when_a_prime_of_2b_fills_dj(monkeypatch):
+    # one gcd with Dj finds the common factor of x(nP) unless a prime of 2b
+    # divides it as often as Dj: then the net takes the gcd again modulo Dj^2,
+    # Dj^4, ...  Where P is singular the factor fills Dj at some n; at the
+    # b = 8 generator (H = 1) one gcd per term is enough
+    calls = []
+    monkeypatch.setattr(curve, "gcd", lambda *args: calls.append(args) or gcd(*args))
+    for b, x, y, H in [(5, 20, 90, 5**6), (128, 32, 192, 2**42), (18, 6, 18, 2**6 * 3**12),
+                       (8, Fraction(49, 36), Fraction(-791, 216), 1)]:
+        c, P = make_curve_xb(b), Point(x, y)
+        f = net(c, P)
+        assert f.args[1] == H
+        terms, counts = [], []
+        for n in range(1, 41):
+            before = len(calls)
+            terms.append(f(n))
+            counts.append(len(calls) - before)
+        assert terms == multiples_oracle(c, P, 40), b
+        assert (max(counts) >= 2) == (H > 1) and min(counts) == 1, (b, counts)
+
+
+def test_integer_curve_checks_match_the_fraction_formulas():
+    # on_curve and is_torsion read numerators and denominators; the Fraction
+    # forms y^2 = x(x^2 + b) and x = 0 or x^2 = b are the oracle, on the sweep
+    # generators and their multiples, on points moved off the curve, on the
+    # torsion points and on random fractions
+    rng = random.Random(29)
+    cases = []
+    for b, G in SWEEP:
+        c = make_curve_xb(b)
+        for Q in (G, mul(c, 2, G), mul(c, 3, G)):
+            x, y = Q.x, Q.y
+            cases += [(c, Point(x, y)), (c, Point(x, -y)), (c, Point(x, y + 1)), (c, Point(x + 1, y)),
+                      (c, Point(x, y / 2)), (c, Point(x / 4, y / 8)), (c, Point(-x, y)), (c, Point(x, 0))]
+    for t in range(1, 6):
+        c = make_curve_xb(4 * t**4)
+        cases += [(c, Point(2 * t * t, 4 * t**3)), (c, Point(2 * t * t, -4 * t**3)), (c, Point(0, 0)),
+                  (c, Point(-2 * t * t, 4 * t**3)),
+                  (c, Point(Fraction(2 * t * t, 9), Fraction(4 * t**3, 27)))]
+    for _ in range(3000):
+        u = rng.randrange(1, 6)
+        x = Fraction(rng.randrange(-30, 31), rng.choice((1, u * u, rng.randrange(1, 40))))
+        y = Fraction(rng.randrange(-200, 201), rng.choice((1, u**3, rng.randrange(1, 60))))
+        cases.append((make_curve_xb(rng.randrange(1, 40)), Point(x, y)))
+    for c, Q in cases:
+        x, y = Q.x, Q.y
+        assert on_curve(c, Q) == (y * y == x * (x * x + c.b)), (c, Q)
+        assert is_torsion(c, Q) == (x == 0 or x * x == c.b), (c, Q)
+    assert sum(on_curve(c, Q) for c, Q in cases) >= 39
+    assert sum(is_torsion(c, Q) for c, Q in cases) >= 15
 
 
 def test_net_takes_no_gcd_of_two_big_numbers(monkeypatch):

@@ -24,7 +24,7 @@ from edspower import (
     valuation,
 )
 
-from helpers import multiples_oracle, primitive_primes_oracle
+from helpers import multiples_oracle, primitive_primes_oracle, small_peak
 
 
 def test_first_terms_known_values(base_curve, base_point, base_seq):
@@ -59,6 +59,15 @@ def test_net_leaves_no_reference_cycles(base_curve, base_point):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_generate_keeps_no_product_past_its_last_reader(base_curve, base_point):
+    # the terms of generate(5, (20, 90), 200) take 3.52 MB, and the net with
+    # them peaks at 4.3 MB; one that kept every product it formed would peak
+    # at about 8.3 MB
+    with small_peak(5_390_000):
+        s = generate(base_curve, base_point, 200)
+    assert s.terms[-1].B.bit_length() == 64745
 
 
 def test_generate_validation(base_curve, base_seq):
