@@ -1,16 +1,17 @@
 """Arbitrary-precision integer utilities.
 
-Factorization (trial division, then Pollard rho with Brent's cycle
-detection under an iteration cap), Miller-Rabin primality, integer roots,
-and perfect-power detection behind a residue sieve.  Everything is pure
-Python on built-in ints; factoring effort is governed by an explicit
-:class:`Budget` so that large inputs fail gracefully instead of hanging.
+Factorization (trial division by blocks of primes, then Pollard rho with
+Brent's cycle detection under an iteration cap), Miller-Rabin primality,
+integer roots, and perfect-power detection behind a residue sieve.
+Everything is pure Python on built-in ints; factoring effort is governed
+by an explicit :class:`Budget` so that large inputs fail gracefully
+instead of hanging.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, compress, cycle
+from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import _is_integer
@@ -20,9 +21,6 @@ _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Pseudo-random bases added to _MR_BASES at and above that limit.
 _MR_EXTRA_ROUNDS = 16
-
-# mod-30 wheel for trial division: the steps from 7 on, after 2, 3 and 5
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
 @dataclass(frozen=True)
@@ -107,25 +105,81 @@ def trial_factors(m: int, bound: int):
     """Yield (p, e, rest) for the primes p dividing m > 0, in increasing order.
 
     p**e exactly divides m, and rest is what remains of m once p and every
-    smaller prime are stripped.  The bound is raised to at least 5, so 2, 3
-    and 5 are always tried before the wheel runs on up to bound.  A
-    remainder with no divisor up to its square root is prime and comes
-    last, with rest 1; otherwise the last rest is the cofactor left for the
-    rho stage, every prime factor of which exceeds bound.
+    smaller prime are stripped.  The primes are tried in increasing order
+    up to the bound, raised to at least 5 so that 2, 3 and 5 are always
+    tried, and while p*p <= rest.  When the walk stops at a prime p with
+    p*p above the remainder, the remainder has no divisor up to its square
+    root: it is prime and comes last, with rest 1.  Otherwise the last rest
+    is the cofactor left for the rho stage, every prime factor of which
+    exceeds bound.
+    The primes come in blocks, each with the product P of its primes, from
+    one table kept between calls and grown a block at a time as walks reach
+    its end.  m is reduced once per block, gcd(m mod P, P) gives the
+    block's primes that divide it, and only when that gcd is not 1 is the
+    block walked prime by prime, each prime tested on the gcd; so a long m
+    costs one division and one gcd per block, not one division per prime.
+    The block where the walk stops, at the bound or at the root of an m
+    below the square of its last prime, is walked on m itself, one
+    division per prime it tries: on a long m a small bound tries fewer
+    primes than a gcd with the whole block's product would cost.
     """
     bound = max(bound, 5)
-    steps = chain((1, 2, 2), cycle(_WHEEL))
-    p = 2
-    while p <= bound and p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            yield p, e, m
-        p += next(steps)
+    i = 0
+    while True:
+        blocks = _trial_table
+        while len(blocks) <= i:
+            blocks = _grown(blocks)
+        P, block = blocks[i]
+        i += 1
+        end = block[-1]
+        if end <= bound and end * end <= m:  # the walk may pass the block whole
+            g = gcd(m % P, P)
+            if g == 1:
+                continue
+        else:  # it stops in the block, at the bound or at the root of a short m
+            g = m
+        for p in block:
+            if p > bound or p * p > m:
+                break
+            if g % p == 0:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                yield p, e, m
+        else:
+            continue
+        break
     if m > 1 and p * p > m:
         yield m, 1, 1
+
+
+# The trial-division table: blocks (P, primes), each of _TRIAL_BLOCK primes in
+# increasing order, the first block starting at 2, with P their product.  It
+# grows a block at a time, when a walk runs off its end, so it holds the
+# primes that some call has reached and at most one block more.  A growth
+# swaps in a new tuple whole, so a race between threads can lose a block, to
+# be built again, but never add a wrong one.  Of blocks of 32 to 1,024 primes,
+# 256 and 512 did best on inputs of 300 and 2,000 bits walked to 10^6 and on a
+# term of 17,901 bits walked to 16,000; larger blocks also take fewer growths,
+# each a sieve of one window, and the table reaches 10^6 in about 0.1 s
+# (2-core host, Python 3.11).
+_TRIAL_BLOCK = 256
+_trial_table: tuple[tuple[int, tuple[int, ...]], ...] = ()
+
+
+def _grown(blocks: tuple[tuple[int, tuple[int, ...]], ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """blocks and one block more, the primes after its last, swapped in as the table."""
+    global _trial_table
+    old = blocks[-1][1][-1] if blocks else 1
+    primes: list[int] = []
+    while len(primes) < _TRIAL_BLOCK:
+        top = old + _TRIAL_BLOCK * old.bit_length()
+        primes += _sieve(old, top)
+        old = top
+    block = tuple(primes[:_TRIAL_BLOCK])
+    _trial_table = blocks = blocks + ((prod(block), block),)
+    return blocks
 
 
 def _brent_rho(n: int, budget_box: list[int], rng: random.Random) -> int | None:
@@ -294,6 +348,25 @@ def _next_witness(q: int, r: int) -> tuple[int, int]:
     return r, (r - 1) // q
 
 
+def _sieve(old: int, bound: int):
+    """The primes in (old, bound], for old >= 1, in increasing order.
+
+    A sieve of that window alone, by the primes up to its root, so a table
+    that grows past old sieves nothing below it again.
+    """
+    root = isqrt(bound)
+    sieve, window = bytearray([1]) * (root + 1), bytearray([1]) * (bound - old)
+    for p in range(2, isqrt(root) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    zero = bytes(len(window))
+    for p in compress(range(2, root + 1), sieve[2:]):
+        # window[i] is old + 1 + i; p's first multiple to strike is at least p * p
+        i = max(p * p, old + 1 + -(old + 1) % p) - old - 1
+        window[i::p] = zero[: len(range(i, len(window), p))]
+    return compress(range(old + 1, bound + 1), window)
+
+
 def _entries_through(limit: int) -> list[tuple[int, list[tuple[int, int, int, list[tuple[int, int]]]]]]:
     """The table's blocks (m, entries), with an entry for each prime q <= limit and maybe more.
 
@@ -314,16 +387,8 @@ def _entries_through(limit: int) -> list[tuple[int, list[tuple[int, int, int, li
     old, blocks = _table
     if limit > old:
         bound = limit + 2 * _BLOCK * limit.bit_length()
-        root = isqrt(bound)
-        sieve, window = bytearray([1]) * (root + 1), bytearray([1]) * (bound - old)
-        for p in range(2, root + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-                # window[i] is old + 1 + i; p's first multiple to strike is at least p * p
-                i = max(p * p, old + 1 + -(old + 1) % p) - old - 1
-                window[i::p] = bytearray(len(window[i::p]))
         entries = [entry for _, block in blocks[-1:] for entry in block]
-        for q in compress(range(old + 1, bound + 1), window):
+        for q in _sieve(old, bound):
             if q > limit and len(entries) % _BLOCK == 0:
                 bound = q - 1
                 break

@@ -34,18 +34,19 @@ from .quadfield import QuadElement
 
 # a coordinate: an optional sign, digits and an optional /digits, as str(Fraction)
 # writes it; Fraction itself would also take 1e10000000 and build the power
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_point(text: str) -> Point:
-    """The point of str(Point)'s text "x,y"."""
+    """The point of str(Point)'s text "x,y", each coordinate built from the integers its match holds."""
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != 2:
         raise ValueError(f"expected X,Y rational coordinates, got {text!r}")
-    if not all(map(_RATIONAL.fullmatch, parts)):
+    matches = [_RATIONAL.fullmatch(part) for part in parts]
+    if not all(matches):
         raise ValueError(f"cannot parse point {text!r}: coordinates are num or num/den")
     try:
-        return Point(*parts)
+        return Point(*(Fraction(int(num), int(den or 1)) for num, den in (m.groups() for m in matches)))
     except ZeroDivisionError as exc:
         raise ValueError(f"cannot parse point {text!r}: {exc}") from exc
 

@@ -79,14 +79,17 @@ def net(c: Curve, P: Point) -> Callable[..., tuple[int, int, int]]:
     Where P is singular mod p, W_n carries p^(g n^2 - r(n)) beyond B_n, with
     r periodic in n (local heights): at some generators more bits than B_n
     itself.  The reduction there is additive, so 5P lies on the component of
-    +-P and the excess of W_5 is H = prod p^(24 g).  The memo holds
-    V_n = W_n / H^t(n), t(n) = (n^2 - 1) // 24, with about the bits of B_n;
-    every division is checked to be exact.
+    +-P and the excess of W_5 is H = prod p^(24 g), read off W_5 and B_5.
+    The memo holds V_n = W_n / H^t(n), t(n) = (n^2 - 1) // 24, with about
+    the bits of B_n; every division is checked to be exact.
     A second memo holds three products per index j: the square
     s_j = V_j^2, the neighbour product d_j = V_{j-1} V_{j+1} and the
     y-numerator W_{j+2} W_{j-1}^2 - W_{j-2} W_{j+1}^2 = H^m(j) o_j.  The
-    term n reads s_{n-1} .. s_{n+1}, d_n and o_n, and the duplication
-    formulas read the same products at half the index, unscaled
+    term n is cut in two: its x-part (A_n, B_n) reads s_n and d_n, and its
+    y-part C_n reads o_n, which needs V_{n-2} and V_{n+2} besides.  A read
+    of B_n alone, such as B_5 for H here and the ledger's index walk, runs
+    the x-part only.  The duplication formulas read the same products at
+    half the index, unscaled
         W_{2k+1} = d_{k+1} s_k - d_k s_{k+1},  W_{2k} = W_k o_k / W_2,
     so along a sequence each product is formed once.  The memo is a cache:
     whatever it lacks is formed again.  f(n, M) tells the net that the
@@ -105,8 +108,8 @@ def net(c: Curve, P: Point) -> Callable[..., tuple[int, int, int]]:
         Dj *= 2 * c.b
     W = {-1: -1, 0: 0, 1: 1, 2: 2 * C, 3: 3 * A2 * A2 + 6 * u * A2 - u * u,
          4: 4 * C * (A2**3 + 5 * u * A2 * A2 - 5 * u * u * A2 - u**3)}
-    W1, Q1 = dict(W), ({}, {}, {})  # the unscaled W_5 .. W_7 and their products stay in these copies
-    H = B * abs(_w(W1, 1, Q1, 5)) // _multiple(W1, 1, A, B, Dj, Q1, 5)[1]
+    W1, Q1 = dict(W), ({}, {}, {})  # the unscaled W_5, W_6 and their products stay in these copies
+    H = B * abs(_w(W1, 1, Q1, 5)) // _x_part(W1, 1, A, B, Dj, Q1, 5)[1]
     return functools.partial(_multiple, W, H, A, B, Dj, ({}, {}, {}))
 
 
@@ -176,16 +179,18 @@ def _om(W: dict[int, int], H: int, Q: tuple[dict[int, int], ...], j: int) -> int
     return o
 
 
-def _multiple(W: dict[int, int], H: int, A: int, B: int, Dj: int, Q: tuple[dict[int, int], ...],
-              n: int, last: int | None = None) -> tuple[int, int, int]:
-    """(A_n, B_n, C_n) from the products s_{n-1} .. s_{n+1}, d_n and o_n.
+def _x_part(W: dict[int, int], H: int, A: int, B: int, Dj: int, Q: tuple[dict[int, int], ...],
+            n: int) -> tuple[int, int, int, int]:
+    """(A_n, B_n, s, k), x(nP) = A_n / B_n^2, from the products s_n and d_n alone.
 
-    With last, the calls run n, n + 1, .. last, and the products that no
-    later call on that path reads are dropped from Q.
+    It forms V_{n-1} .. V_{n+1} and no y-numerator.  s^2 is the common
+    factor taken out of x(nP) times H^k, which C_n's quotient divides out
+    as s^3.  This is the one reduction path: _multiple adds the y-part to
+    it, and a read of B_n alone (H in net, the ledger's index walk) stops
+    here.
     """
     t = _t
-    o, ww = _om(W, H, Q, n), _sq(W, H, Q, n)
-    w = W[n]
+    ww, w = _sq(W, H, Q, n), W[n]
     e = t(n - 1) + t(n + 1) - 2 * t(n)
     # x = (A s_n - d_n H^e) / (B^2 s_n).  At e = -1 (k = 1) both are taken
     # times H^2, so that den = B H V_n is an integer; num is then the
@@ -205,8 +210,19 @@ def _multiple(W: dict[int, int], H: int, A: int, B: int, Dj: int, Q: tuple[dict[
     s = isqrt(g)
     if s * s != g:
         raise ArithmeticError(f"x-denominator of {n}P is not a perfect square")
+    return num, B * Hk * abs(w) // s, s, k
+
+
+def _multiple(W: dict[int, int], H: int, A: int, B: int, Dj: int, Q: tuple[dict[int, int], ...],
+              n: int, last: int | None = None) -> tuple[int, int, int]:
+    """(A_n, B_n, C_n): the x-part, then C_n from the y-numerator o_n, which reads s_{n-1} and s_{n+1}.
+
+    With last, the calls run n, n + 1, .. last, and the products that no
+    later call on that path reads are dropped from Q.
+    """
+    num, den, s, k = _x_part(W, H, A, B, Dj, Q, n)
     a = _m(n) + 3 * k
-    Cn = _quotient(H, a, o, a, 0, 3 * t(n), 2 * W[2] * s**3)
+    Cn = _quotient(H, a, _om(W, H, Q, n), a, 0, 3 * _t(n), 2 * W[2] * s**3)
     if last is not None:
         S, D, O = Q
         # on the path n, n + 1, .., V_{2j+1} is the last reader of s_j and d_j
@@ -216,7 +232,7 @@ def _multiple(W: dict[int, int], H: int, A: int, B: int, Dj: int, Q: tuple[dict[
         if n > (last + 2) // 2 + 2:  # past the indices that V_1 .. V_{last+2} read
             for memo, j in ((S, n - 1), (D, n), (O, n)):
                 memo.pop(j, None)
-    return num, B * Hk * abs(w) // s, Cn if w > 0 else -Cn
+    return num, den, Cn if W[n] > 0 else -Cn
 
 
 def mul(c: Curve, n: int, P: Point) -> Point:

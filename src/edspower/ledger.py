@@ -18,10 +18,10 @@ from math import isqrt
 
 from . import arith, frey
 from .arith import DEFAULT_BUDGET, Budget
-from .curve import Curve, Point, net
+from .curve import Curve, Point, _x_part, net
 from .eds import Sequence
 from .errors import BudgetExhausted, HypothesisError, _is_integer, _require_positive
-from .quadfield import QuadPrime, SplitType, _primes_above
+from .quadfield import SplitType, _kind
 
 DEFAULT_SEARCH_CAP = 64
 
@@ -102,8 +102,10 @@ def _least_primitive(B: int, B_prev: int, T: set[int], budget: Budget) -> tuple[
     """The least prime of B outside T that does not divide B_prev.
 
     Primes are walked upward by trial division, so the first one that
-    qualifies is the least; past budget.trial_bound only the leftover
-    cofactor goes to rho.  Returns (p, settled), p None when no prime
+    qualifies is the least, and the walk stops there; trial_factors reduces
+    a long B once per block of primes, not once per prime, and builds no
+    block past the one it stops in.  Past budget.trial_bound only the
+    leftover cofactor goes to rho.  Returns (p, settled), p None when no prime
     qualifies; settled is False when rho left part of B unsplit, so a
     smaller qualifying prime, or with p None any, may hide there.
     """
@@ -140,8 +142,8 @@ def find_k_p0(
 
     Returns (k, p0, incomplete) with p0 the least such primitive divisor
     found.  The search walks indices n = q, q^2, ... up to search_cap,
-    reading each B_n off one elliptic net of the generator, which computes
-    no term between the indices.  By strong divisibility a prime of B_n is
+    reading each B_n off the x-part of one elliptic net of the generator,
+    which computes no term between the indices and no y-numerator.  By strong divisibility a prime of B_n is
     primitive exactly when it does not divide B_{n/q}, so at each index
     the primes of B_n are walked upward and the first one outside T that
     passes this test is p0.  incomplete lists the indices, passed or
@@ -167,7 +169,7 @@ def _walk_indices(
     B_prev, j = B1, 1
     while q**j <= search_cap:
         index = q**j
-        B = f(index)[1]
+        B = _x_part(*f.args, index)[1]  # B_n alone: no y-numerator, no V_{n+-2}
         p0, settled = _least_primitive(B, B_prev, T, budget)
         if not settled:
             incomplete.append(index)
@@ -190,11 +192,15 @@ def threshold(k: int, b: int, c_config: int, p0: int) -> int:
     return max(k, 2 * b, c_config, p0, 5)
 
 
-def envelope_bound(P: QuadPrime) -> EnvelopeBound:
-    """(sqrt(N) + 1)^2 where N is the residue norm of the prime P over p0."""
-    if P.kind is SplitType.RAMIFIED:
-        raise ValueError(f"p0 = {P.p} ramifies in Q(sqrt({P.a})); p0 must avoid 2a")
-    N = P.residue_norm
+def envelope_bound(p0: int, kind: SplitType) -> EnvelopeBound:
+    """(sqrt(N) + 1)^2 where N is the residue norm of a prime over p0 that splits as kind.
+
+    N is p0 at a split prime and p0^2 at an inert one; a ramified p0 is a
+    ValueError.
+    """
+    if kind is SplitType.RAMIFIED:
+        raise ValueError(f"p0 = {p0} ramifies; p0 must avoid 2a")
+    N = p0 if kind is SplitType.SPLIT else p0 * p0
     r = isqrt(N)
     if r * r == N:
         value = (r + 1) ** 2
@@ -204,20 +210,24 @@ def envelope_bound(P: QuadPrime) -> EnvelopeBound:
     return EnvelopeBound(N, None, ceiling, f"{N + 1} + 2*sqrt({N})")
 
 
-def level_support(ideals: Iterable[QuadPrime]) -> LevelSupport:
-    """Exponent caps for the given prime ideals, those over the primes of 2ad.
+def level_support(a: int, primes: Iterable[int]) -> LevelSupport:
+    """Exponent caps for the prime ideals of Q(sqrt(a)) over the given primes, those of 2ad.
 
-    Caps: 2 at ideals over p not dividing 6; 2 + 6e over 2; 2 + 3e over 3,
-    with e the ramification index.  count multiplies out (cap + 1) over all
-    ideals, the size of the exponent-vector enumeration.
+    a is squarefree and the primes are prime, neither checked.  Caps: 2 at
+    ideals over p not dividing 6; 2 + 6e over 2; 2 + 3e over 3, with e the
+    ramification index.  A split p has two ideals, which share one entry,
+    but in Q itself (a = 1) it is one.  count multiplies out (cap + 1) over
+    all ideals, the size of the exponent-vector enumeration.
     """
-    entries = []
+    entries: list[LevelEntry] = []
     count = 1
-    for P in ideals:
-        e = 2 if P.kind is SplitType.RAMIFIED else 1
-        cap = {2: 2 + 6 * e, 3: 2 + 3 * e}.get(P.p, 2)
-        entries.append(LevelEntry(P.p, P.kind, e, cap))
-        count *= cap + 1
+    for p in primes:
+        kind = _kind(a, p)
+        e = 2 if kind is SplitType.RAMIFIED else 1
+        cap = {2: 2 + 6 * e, 3: 2 + 3 * e}.get(p, 2)
+        ideals = 2 if kind is SplitType.SPLIT and a > 1 else 1
+        entries += [LevelEntry(p, kind, e, cap)] * ideals
+        count *= (cap + 1) ** ideals
     return LevelSupport(tuple(entries), count)
 
 
@@ -269,6 +279,26 @@ def _exact_bound(fields: tuple[CandidateField, ...], p0: int, table: Iterable[Ei
     return best
 
 
+def _candidate_fields(b: int, T: set[int], p0: int) -> tuple[CandidateField, ...]:
+    """The field data at p0 for each squarefree a | b, in increasing order of a.
+
+    T, the primes of 2*a*(b/a) = 2b, is every field's bad set and each
+    label is a product of its primes, so nothing is factored again.  Only
+    the kinds of p0 and of the primes of T are read: no prime ideal, and
+    no square root mod p, is formed.
+    """
+    primes = sorted(T)
+    divisors = [1]
+    for p in primes:
+        if b % p == 0:
+            divisors += [a * p for a in divisors]
+    fields = []
+    for a in sorted(divisors):
+        kind = _kind(a, p0)
+        fields.append(CandidateField(a, kind, envelope_bound(p0, kind), level_support(a, primes)))
+    return tuple(fields)
+
+
 def build_report(
     curve: Curve,
     generator: Point,
@@ -287,12 +317,18 @@ def build_report(
     budget.rho_iterations and each index walked under a fresh one, so one
     report may spend one cap plus one per index; trial bounds 2 to 4 act
     as 5.
+    A report computes only what it prints: B_1 from the generator's x,
+    each B_{q^j} through the net's x-part (no C_{q^j}), the primes of
+    B_{q^j} by trial division in blocks up to the first that qualifies,
+    and per field the splitting kinds of p0 and of the primes of 2b, with
+    no prime ideal or square root mod p.
     """
     b = curve.b
     _require_positive(c_config, "c_config")
-    # building the net checks the generator: on the curve, not torsion
+    # building the net checks the generator: on the curve, not torsion, so
+    # its x is A/B_1^2 in lowest terms
     f = net(curve, generator)
-    B1 = f(1)[1]
+    B1 = isqrt(generator.x.denominator)
     # before 2b is factored, so a usage slip is not reported as an exhausted budget
     _check_index_search(B1, q, search_cap)
 
@@ -300,18 +336,7 @@ def build_report(
     k, p0, incomplete = _walk_indices(f, B1, q, T, search_cap, budget)
 
     thr = threshold(k, b, c_config, p0)
-    # the squarefree divisors of b, from the primes of T that divide it
-    divisors = [1]
-    for p in sorted(T):
-        if b % p == 0:
-            divisors += [a * p for a in divisors]
-    # T, the primes of 2*a*(b/a) = 2b, is every field's bad set and each
-    # label is a product of its primes, so nothing is factored again
-    fields = []
-    for a in sorted(divisors):
-        P0 = _primes_above(a, p0)[0]
-        ideals = [P for p in sorted(T) for P in _primes_above(a, p)]
-        fields.append(CandidateField(a, P0.kind, envelope_bound(P0), level_support(ideals)))
+    fields = _candidate_fields(b, T, p0)
 
     caveats = [
         "c_config is user-supplied configuration, not derived from the sequence",
@@ -323,7 +348,7 @@ def build_report(
             f"{', '.join(map(str, incomplete))}; (k, p0) = ({k}, {p0}) is valid "
             "but k or p0 may not be the least"
         )
-    exact = _exact_bound(tuple(fields), p0, eigen_table or ())
+    exact = _exact_bound(fields, p0, eigen_table or ())
     if exact is None:
         caveats.append(
             "exponent bound is the Ramanujan-Petersson envelope; exact maxima need "
@@ -340,7 +365,7 @@ def build_report(
         p0=p0,
         c_config=c_config,
         threshold=thr,
-        candidate_fields=tuple(fields),
+        candidate_fields=fields,
         exact_bound=exact,
         caveats=tuple(caveats),
     )

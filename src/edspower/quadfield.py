@@ -8,8 +8,9 @@ P over an odd rational prime from the coordinates and the norm.
 
 primes_above factors a label under the default budget and refuses it
 when a prime divides it twice or the factorization is incomplete; labels
-the package builds from primes it has already found go to _primes_above
-unchecked.
+the package builds from primes it has already found go unchecked to
+_primes_above (frey --prime) or, where only the splitting type is read
+(the ledger), to _kind.
 """
 from __future__ import annotations
 
@@ -106,20 +107,39 @@ def _sqrt_mod_p(a: int, p: int) -> int:
     return r
 
 
+def _kind(a: int, p: int) -> SplitType:
+    """How the prime p splits in Q(sqrt(a)), for a squarefree a >= 1, checking neither.
+
+    Q itself (a = 1) counts as split.  p ramifies when it divides a, and 2
+    when a = 3 (mod 4); otherwise p splits exactly when a is a square mod p
+    (mod 8 when p = 2), which Euler's criterion decides for odd p.
+    """
+    if a == 1:
+        return SplitType.SPLIT
+    if a % p == 0 or (p == 2 and a % 4 == 3):
+        return SplitType.RAMIFIED
+    if a % 8 == 1 if p == 2 else pow(a, (p - 1) // 2, p) == 1:
+        return SplitType.SPLIT
+    return SplitType.INERT
+
+
 def _primes_above(a: int, p: int) -> list[QuadPrime]:
-    """primes_above for a squarefree a and a prime p, checking neither."""
+    """primes_above for a squarefree a and a prime p, checking neither.
+
+    The kind comes from _kind; only a split prime needs more, the roots of
+    a mod p, and only the callers that print the primes, primes_above and
+    frey --prime, come here: the ledger reads the kinds alone.
+    """
+    kind = _kind(a, p)
+    if kind is not SplitType.SPLIT:
+        return [QuadPrime(a, p, kind, None, p if kind is SplitType.RAMIFIED else p * p)]
     if a == 1:
         # rational field: one split entry (the two "primes" coincide with p),
         # root 1 so that x + y*root = x + y
-        return [QuadPrime(a, p, SplitType.SPLIT, 1, p)]
-    if a % p == 0 or (p == 2 and a % 4 == 3):
-        return [QuadPrime(a, p, SplitType.RAMIFIED, None, p)]
-    # a is a square mod p (mod 8 when p = 2) exactly when p splits
-    if not (a % 8 == 1 if p == 2 else pow(a, (p - 1) // 2, p) == 1):
-        return [QuadPrime(a, p, SplitType.INERT, None, p * p)]
+        return [QuadPrime(a, p, kind, 1, p)]
     # over 2 (a = 1 mod 8) the root 1 serves both primes
     r = _sqrt_mod_p(a, p) if p != 2 else 1
-    return [QuadPrime(a, p, SplitType.SPLIT, r, p), QuadPrime(a, p, SplitType.SPLIT, (p - r) % p, p)]
+    return [QuadPrime(a, p, kind, r, p), QuadPrime(a, p, kind, (p - r) % p, p)]
 
 
 def primes_above(a: int, p: int) -> list[QuadPrime]:

@@ -6,21 +6,27 @@ from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
-from itertools import count
+from itertools import chain, count, cycle
 from math import gcd, isqrt
 
 import pytest
 
 from edspower import (
     DEFAULT_BUDGET,
+    EnvelopeBound,
+    Factorization,
+    LevelSupport,
     Point,
     QuadElement,
     SplitType,
     exact_root,
     extend,
     factorize,
+    primes_above,
     valuation,
 )
+from edspower.arith import rho_factors
+from edspower.ledger import CandidateField, LevelEntry
 
 
 # The oracle's point at infinity: the package's points are all affine.
@@ -139,6 +145,42 @@ def trial_factors_oracle(m: int, bound: int) -> list[tuple[int, int, int]]:
     if m > 1 and nxt * nxt > m:
         out.append((m, 1, 1))
     return out
+
+
+def trial_factors_wheel(m: int, bound: int) -> list[tuple[int, int, int]]:
+    """trial_factors' (p, e, rest) triples by one division per candidate of a mod-30 wheel.
+
+    2, 3 and 5, then every number prime to 30 from 7 on, up to max(bound, 5)
+    and while p*p <= rest.  The remainder is reported as a prime when the
+    wheel's next candidate, which may be composite (49 after 47), has a
+    square above it.
+    """
+    bound = max(bound, 5)
+    steps = chain((1, 2, 2), cycle((4, 2, 4, 2, 4, 6, 2, 6)))
+    out = []
+    p = 2
+    while p <= bound and p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e, m))
+        p += next(steps)
+    if m > 1 and p * p > m:
+        out.append((m, 1, 1))
+    return out
+
+
+def factorize_wheel(n: int, budget=DEFAULT_BUDGET) -> Factorization:
+    """factorize with the wheel's trial stage, then the same rho stage."""
+    factors: dict[int, int] = {}
+    rest = abs(n)
+    for p, e, rest in trial_factors_wheel(rest, budget.trial_bound):
+        factors[p] = e
+    found, cofactor = rho_factors(rest, budget)
+    factors.update(found)
+    return Factorization(factors, cofactor)
 
 
 def reassembled(f) -> int:
@@ -270,6 +312,70 @@ def find_k_p0_oracle(s, q: int, T, search_cap: int, budget=DEFAULT_BUDGET):
             return v1 + j, found[0]
         j += 1
     return None
+
+
+@cache
+def _primes_above_oracle(a: int, p: int):
+    return primes_above(a, p)
+
+
+def envelope_bound_oracle(P) -> EnvelopeBound:
+    """(sqrt(N) + 1)^2 at a prime P over p0, from P's residue norm as primes_above built it."""
+    N = P.residue_norm
+    r = isqrt(N)
+    if r * r == N:
+        return EnvelopeBound(N, (r + 1) ** 2, (r + 1) ** 2, str((r + 1) ** 2))
+    # the least integer above N + 1 + 2*sqrt(N), as 2*sqrt(N) is irrational
+    ceiling = N + 2 + isqrt(4 * N)
+    return EnvelopeBound(N, None, ceiling, f"{N + 1} + 2*sqrt({N})")
+
+
+def level_support_oracle(ideals) -> LevelSupport:
+    """Exponent caps for the given prime ideals of primes_above, one entry per ideal."""
+    entries, count = [], 1
+    for P in ideals:
+        e = 2 if P.kind is SplitType.RAMIFIED else 1
+        cap = 2 + 6 * e if P.p == 2 else 2 + 3 * e if P.p == 3 else 2
+        entries.append(LevelEntry(P.p, P.kind, e, cap))
+        count *= cap + 1
+    return LevelSupport(tuple(entries), count)
+
+
+@cache
+def _level_supports_oracle(b: int) -> list[tuple[int, LevelSupport]]:
+    """(a, level support) for each squarefree a | b, by trial division, over the ideals of 2b."""
+    T = sorted(factor_oracle(2 * b))
+    return [(a, level_support_oracle([P for p in T for P in _primes_above_oracle(a, p)]))
+            for a in range(1, b + 1) if b % a == 0 and all(a % (p * p) for p in T)]
+
+
+def candidate_fields_oracle(b: int, p0: int) -> tuple[CandidateField, ...]:
+    """The ledger's fields at p0, assembled from the prime ideals that primes_above builds.
+
+    Per squarefree a | b: the ideal over p0, and every ideal of Q(sqrt(a))
+    over the primes of 2b.
+    """
+    fields = []
+    for a, support in _level_supports_oracle(b):
+        P0 = _primes_above_oracle(a, p0)[0]
+        fields.append(CandidateField(a, P0.kind, envelope_bound_oracle(P0), support))
+    return tuple(fields)
+
+
+def net_H_oracle(c, P) -> int:
+    """The excess H = B W_5 / B_5 of the net at P, from the division polynomial psi_5.
+
+    W_5 = B^24 psi_5(P) with B^2 the denominator of x(P), and B_5 the
+    denominator of 5P by repeated chord-tangent addition.
+    """
+    x, y, b = P.x, P.y, c.b
+    psi3 = 3 * x**4 + 6 * b * x**2 - b * b
+    psi4 = 4 * y * (x**6 + 5 * b * x**4 - 5 * b * b * x**2 - b**3)
+    psi5 = psi4 * (2 * y) ** 3 - psi3**3
+    B = isqrt(x.denominator)
+    W5 = psi5 * B**24
+    assert W5.denominator == 1
+    return B * abs(W5.numerator) // multiples_oracle(c, P, 5)[4][1]
 
 
 def _lift_root(a: int, p: int, r: int, precision: int) -> int:

@@ -183,9 +183,9 @@ def test_exponent_bound_assembly():
     s = generate(c, twoP, 1)
     assert find_k_p0(s, 2, {2, 5}) == (3, 7, ())
     assert threshold(3, 5, 100, 7) == 100
-    env = envelope_bound(primes_above(5, 7)[0])
+    env = envelope_bound(7, primes_above(5, 7)[0].kind)
     assert env.residue_norm == 49 and env.exact_value == 64
-    assert level_support(P for p in sorted(bad_set(5, 1)) for P in primes_above(5, p)).count == 27
+    assert level_support(5, sorted(bad_set(5, 1))).count == 27
     # the assembled report agrees with the pieces
     r = build_report(c, twoP, 2, 100)
     assert (r.k, r.p0, r.threshold) == (3, 7, 100)

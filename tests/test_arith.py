@@ -10,6 +10,7 @@ from edspower import (
     Budget,
     BudgetExhausted,
     Point,
+    build_report,
     exact_root,
     factorize,
     generate,
@@ -26,6 +27,7 @@ from edspower.quadfield import _require_squarefree
 from helpers import (
     SWEEP,
     factor_oracle,
+    factorize_wheel,
     iroot_oracle,
     is_prime_oracle,
     perfect_power_oracle,
@@ -34,6 +36,7 @@ from helpers import (
     reassembled,
     small_peak,
     trial_factors_oracle,
+    trial_factors_wheel,
 )
 
 
@@ -181,6 +184,118 @@ def test_trial_factors_matches_trial_division():
     assert list(arith.trial_factors(2**3 * 3**2 * 5 * 49, 2)) == [
         (2, 3, 3**2 * 5 * 49), (3, 2, 5 * 49), (5, 1, 49),
     ]
+
+
+def _check_trial_table(blocks):
+    # full blocks of the primes in order from 2, each with its product
+    primes = [p for _, block in blocks for p in block]
+    assert primes == [p for p in range(primes[-1] + 1) if is_prime_oracle(p)]
+    assert all(len(block) == arith._TRIAL_BLOCK and P == prod(block) for P, block in blocks)
+
+
+def _matches_the_wheel(m: int, bound: int) -> bool:
+    """trial_factors against the wheel; False at the one edge where the yields differ.
+
+    There the walk stops at the bound, the wheel at its next candidate c,
+    which is composite (49 at bound 48), and the blocks at the next prime p;
+    a remainder r with c^2 <= r < p^2 is then prime, and only the blocks
+    yield it.  factorize, whose rho stage finds r prime, is the same either way.
+    """
+    got, want = list(arith.trial_factors(m, bound)), trial_factors_wheel(m, bound)
+    if got == want:
+        return True
+    r = want[-1][2] if want else m
+    assert got == want + [(r, 1, 1)] and is_probable_prime(r), (m, bound)
+    budget = Budget(bound, 0)
+    f, g = factorize(m, budget), factorize_wheel(m, budget)
+    assert f == g and list(f.factors) == list(g.factors) and f.is_complete, (m, bound)
+    return False
+
+
+def test_trial_factors_match_the_wheel_on_random_inputs(monkeypatch):
+    # m up to 4,000 bits with small, block-edge and large primes in it, from
+    # an empty table, under bounds from 2 to 10^5
+    monkeypatch.setattr(arith, "_trial_table", ())
+    rng = random.Random(30)
+    primes = [p for p in range(2, 20_000) if is_prime_oracle(p)]
+    for _ in range(60):
+        m = rng.getrandbits(rng.randrange(1, 4000)) | 1
+        for _ in range(rng.randrange(0, 6)):
+            m *= rng.choice(primes) ** rng.randrange(1, 4)
+        _matches_the_wheel(m, int(10 ** rng.uniform(0.3, 5)))
+    _check_trial_table(arith._trial_table)
+
+
+def test_trial_factors_at_block_edges(monkeypatch):
+    # powers of the first and last prime of a block, primes on either side of
+    # a boundary, alone and beside a prime R past every bound, under bounds
+    # at and around the edges
+    monkeypatch.setattr(arith, "_trial_table", ())
+    R = 2**89 - 1
+    blocks = [block for _, block in arith._grown(arith._grown(arith._grown(())))]
+    for block, after in zip(blocks, blocks[1:]):
+        first, last, nxt = block[0], block[-1], after[0]
+        for m in (first**3, last**2, first * last, last * nxt, last**5 * nxt**2, nxt**3):
+            for bound in (first - 1, first, last - 1, last, last + 1, nxt, 10**5):
+                assert _matches_the_wheel(m, bound), (m, bound)
+                assert _matches_the_wheel(m * R, bound), (m, bound)
+    _check_trial_table(arith._trial_table)
+    # a prime m just past the bound: 2203 < 47^2 and 2411 > 47^2 at bound 46,
+    # where the wheel's next candidate is the prime 47; at bound 48 the
+    # wheel stops at 49 and leaves 2411 >= 49^2 unproven, while the walk stops
+    # at 53 and yields it, as 2411 < 53^2.  Over the bounds to 200 that edge
+    # is the only difference near c^2 and p^2, for every prime in [c^2, p^2)
+    assert _matches_the_wheel(2203, 46) and _matches_the_wheel(2411, 46)
+    assert list(arith.trial_factors(2411, 48)) == [(2411, 1, 1)] and trial_factors_wheel(2411, 48) == []
+    edges = 0
+    for bound in range(5, 200):
+        p = next(q for q in count(bound + 1) if is_prime_oracle(q))
+        c = next(q for q in count(bound + 1) if q % 2 and q % 3 and q % 5)
+        for m in range(c * c - 20, p * p + 20):
+            if _matches_the_wheel(m, bound) == (c * c <= m < p * p and is_probable_prime(m)):
+                raise AssertionError((m, bound))
+        edges += c < p
+    assert edges == 35
+
+
+def test_trial_factors_match_the_wheel_on_sweep_terms():
+    for b, P in SWEEP:
+        for t in generate(make_curve_xb(b), P, 60).terms:
+            assert _matches_the_wheel(t.B, 3000), (b, t.m)
+
+
+def test_trial_table_grows_only_as_far_as_walks_reach(monkeypatch):
+    # factoring 2b = 400 walks the first block; the b = 14, q = 47 report walks
+    # B_47 (17,901 bits) up to 15,791, and the table ends with that prime's block
+    monkeypatch.setattr(arith, "_trial_table", ())
+    assert factorize(2 * 200).factors == {2: 4, 5: 2}
+    assert len(arith._trial_table) == 1
+    b, P = SWEEP[3]
+    assert build_report(make_curve_xb(b), P, 47, 100).p0 == 15791
+    table = arith._trial_table
+    assert table[-1][1][0] <= 15791 <= table[-1][1][-1]
+    _check_trial_table(table)
+
+
+def test_trial_table_holds_under_threads(monkeypatch):
+    # threads that grow the table at once may build a block twice, or lose
+    # one to be built again, but every walk sees the primes in order and the
+    # table stays full blocks of them with their products
+    rng = random.Random(31)
+    inputs = [(rng.getrandbits(bits) | 1, bound) for bits, bound in
+              ((8, 100), (300, 30_000), (900, 60_000), (2000, 20_000), (40, 10**5), (1200, 45_000))]
+    expected = [trial_factors_wheel(m, bound) for m, bound in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(arith, "_trial_table", ())
+            with ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(lambda a: list(arith.trial_factors(*a)), inputs * 4, timeout=120))
+            assert results == expected * 4
+            _check_trial_table(arith._trial_table)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_exact_root():

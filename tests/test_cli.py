@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import re
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -17,6 +18,7 @@ from edspower import (
     LedgerReport,
     LevelSupport,
     Point,
+    curve,
     eds,
     generate,
     make_curve_xb,
@@ -81,6 +83,21 @@ def test_point_outside_the_num_den_form_is_refused(capsys, point):
     # Fraction alone would build 10**10000000 from the first before any check
     assert main(["gen", "--b", "5", "--point", point, "--max-m", "1"]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot parse point {point!r}: ")
+
+
+def test_point_coordinates_are_built_from_their_integers(monkeypatch):
+    # each coordinate is Fraction(num, den) of the integers its match holds, as
+    # Fraction reads the text, and Point is handed no text to parse again; a
+    # zero denominator keeps Fraction's message
+    real, handed = curve.Fraction, []
+    monkeypatch.setattr(curve, "Fraction", lambda v: handed.append(type(v)) or real(v))
+    for text in ("20,90", " -6241/1296 ,+543599/46656", "007/0010,-0", "-0/5,+3/3"):
+        x, y = (part.strip() for part in text.split(","))
+        assert _parse_point(text) == Point(Fraction(x), Fraction(y)), text
+    assert str not in handed
+    for text, zero in (("1/0,1", "Fraction(1, 0)"), ("2,-7/00", "Fraction(-7, 0)"), ("-0/0,3", "Fraction(0, 0)")):
+        with pytest.raises(ValueError, match=f"^cannot parse point {re.escape(repr(text))}: {re.escape(zero)}$"):
+            _parse_point(text)
 
 
 def test_point_text_round_trips():

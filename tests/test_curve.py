@@ -19,7 +19,7 @@ from edspower import (
 from edspower import curve, eds
 from edspower.curve import net
 
-from helpers import SWEEP, O, add, multiples_oracle, neg, torsion_oracle, weierstrass_invariants
+from helpers import SWEEP, O, add, multiples_oracle, neg, net_H_oracle, torsion_oracle, weierstrass_invariants
 
 
 def test_make_curve_xb():
@@ -378,3 +378,20 @@ def test_net_faults_are_arithmetic_errors(monkeypatch):
     monkeypatch.setattr(curve, "gcd", lambda *args: next(answers, 1))
     with pytest.raises(ArithmeticError, match="^x-denominator of 3P is not a perfect square$"):
         f(3)
+
+
+def test_x_part_is_the_first_two_of_the_triple_and_h_its_own_formula():
+    # B_n alone comes off the x-part, which forms no y-numerator: read upward
+    # before the full triples on one net, and out of order on a fresh one, it
+    # is (A_n, B_n) of the triple.  H, read off B_5 through the x-part, is
+    # B W_5 / B_5 with W_5 from the division polynomial psi_5, on the sweep
+    # (H > 1 at b = 5 and b = 14) and at two deeper excesses
+    for b, P in SWEEP:
+        c = make_curve_xb(b)
+        f, fresh = net(c, P), net(c, P)
+        xs = [curve._x_part(*f.args, n)[:2] for n in range(1, 121)]
+        assert xs == [f(n)[:2] for n in range(1, 121)], b
+        assert all(curve._x_part(*fresh.args, n)[:2] == xs[n - 1] for n in (120, 119, 64, 47, 25, 5, 2, 1)), b
+    for b, P in [*SWEEP, (100, Point(20, 100)), (128, Point(32, 192))]:
+        c = make_curve_xb(b)
+        assert net(c, P).args[1] == net_H_oracle(c, P), b

@@ -1,7 +1,10 @@
+import importlib
 import random
 import re
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +33,7 @@ from edspower import (
     threshold,
 )
 
-from helpers import find_k_p0_oracle, is_prime_oracle
+from helpers import SWEEP, candidate_fields_oracle, factor_oracle, find_k_p0_oracle, is_prime_oracle
 
 
 def test_find_k_p0_doubled_generator(doubled_seq):
@@ -140,16 +143,16 @@ def test_threshold():
 
 
 def test_envelope_bound_known_values():
-    e = envelope_bound(primes_above(5, 7)[0])
+    e = envelope_bound(7, primes_above(5, 7)[0].kind)
     assert (e.residue_norm, e.exact_value, e.ceiling) == (49, 64, 64)
     assert e.display == "64"
-    e = envelope_bound(primes_above(1, 7)[0])
+    e = envelope_bound(7, primes_above(1, 7)[0].kind)
     assert (e.residue_norm, e.exact_value, e.ceiling) == (7, None, 14)
     assert e.display == "8 + 2*sqrt(7)"
-    e = envelope_bound(primes_above(5, 11)[0])
+    e = envelope_bound(11, primes_above(5, 11)[0].kind)
     assert (e.residue_norm, e.exact_value, e.ceiling) == (11, None, 19)
-    with pytest.raises(ValueError):
-        envelope_bound(primes_above(5, 5)[0])  # ramified
+    with pytest.raises(ValueError, match="^p0 = 5 ramifies; p0 must avoid 2a$"):
+        envelope_bound(5, primes_above(5, 5)[0].kind)
 
 
 def test_envelope_ceiling_is_tight():
@@ -158,7 +161,7 @@ def test_envelope_ceiling_is_tight():
         for p0 in primes:
             if a % p0 == 0:
                 continue
-            e = envelope_bound(primes_above(a, p0)[0])
+            e = envelope_bound(p0, primes_above(a, p0)[0].kind)
             N = e.residue_norm
             assert e.ceiling > 0
             if e.exact_value is not None:
@@ -172,8 +175,8 @@ def test_envelope_ceiling_is_tight():
 
 
 def _level_support(a, d):
-    # the ideals over the primes of 2ad, as build_report hands them over
-    return level_support(P for p in sorted(bad_set(a, d)) for P in primes_above(a, p))
+    # the primes of 2ad, as build_report hands them over
+    return level_support(a, sorted(bad_set(a, d)))
 
 
 def test_level_support_known_counts():
@@ -200,6 +203,39 @@ def test_level_support_ramified_caps():
     caps = [(e.p, e.cap) for e in ls.entries]
     assert caps.count((11, 2)) == 2
     assert ls.count == 27 * 9
+
+
+@pytest.fixture
+def bench_checks(monkeypatch):
+    """edsbench/checks, imported without writing bytecode, and dropped again with its siblings."""
+    bench = Path(__file__).resolve().parent.parent / "edsbench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", [str(bench), *sys.path])
+    try:
+        yield importlib.import_module("checks")
+    finally:
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or bench.parent).parent == bench:
+                del sys.modules[name]
+
+
+def test_candidate_fields_match_the_ideals_of_primes_above(bench_checks):
+    # every squarefree a | b for b <= 200 and every prime p0 < 500 outside 2b:
+    # the fields read off the kinds alone equal, field for field, those built
+    # from primes_above's ideals, whose counts the bench's own rule also gives;
+    # 2 and 3 split, stay inert and ramify among them
+    seen = set()
+    for b in range(1, 201):
+        T = set(factor_oracle(2 * b))
+        for p0 in filter(is_prime_oracle, range(3, 500)):
+            if p0 in T:
+                continue
+            fields = ledger._candidate_fields(b, T, p0)
+            assert fields == candidate_fields_oracle(b, p0), (b, p0)
+        for f in fields:
+            assert f.level_support.count == bench_checks.level_support_count(f.a, b // f.a), (b, f.a)
+            seen.update((e.p, e.kind) for e in f.level_support.entries)
+    assert {(p, kind) for p in (2, 3) for kind in SplitType} <= seen
 
 
 def test_load_eigenvalue_table():
@@ -345,6 +381,18 @@ def test_build_report_large_index_term():
     r = build_report(c, P, 47, 100)
     assert (r.k, r.p0) == (2, 15791)
     assert not any("incomplete" in note for note in r.caveats)
+
+
+def test_build_report_forms_no_y_numerator_at_the_index(monkeypatch):
+    # the walk reads B_47 through the x-part, which forms V_46 .. V_48: no
+    # o_47, so no C_47, and neither V_45 nor V_49, which only o_47 reads
+    om, w, formed = curve._om, curve._w, set()
+    monkeypatch.setattr(curve, "_om", lambda W, H, Q, j: formed.add(("o", j)) or om(W, H, Q, j))
+    monkeypatch.setattr(curve, "_w", lambda W, H, Q, n: formed.add(("V", n)) or w(W, H, Q, n))
+    b, P = SWEEP[3]
+    r = build_report(make_curve_xb(b), P, 47, 100)
+    assert (r.B1, r.k, r.p0) == (47, 2, 15791)
+    assert ("V", 47) in formed and not formed & {("o", 47), ("V", 45), ("V", 49)}
 
 
 def test_build_report_with_eigenvalues(base_curve, doubled_point):
