@@ -10,8 +10,9 @@ instead of hanging.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt, prod
 
 from .errors import _is_integer
@@ -161,23 +162,36 @@ def trial_factors(m: int, bound: int):
 # swaps in a new tuple whole, so a race between threads can lose a block, to
 # be built again, but never add a wrong one.  Of blocks of 32 to 1,024 primes,
 # 256 and 512 did best on inputs of 300 and 2,000 bits walked to 10^6 and on a
-# term of 17,901 bits walked to 16,000; larger blocks also take fewer growths,
-# each a sieve of one window, and the table reaches 10^6 in about 0.1 s
-# (2-core host, Python 3.11).
+# term of 17,901 bits walked to 16,000.
 _TRIAL_BLOCK = 256
 _trial_table: tuple[tuple[int, tuple[int, ...]], ...] = ()
+# The primes sieved for the table: (lo, hi, primes), primes every prime in
+# (lo, hi], in increasing order.  A growth takes its block from the primes
+# past the table's last and sieves only when too few are left, a window as
+# long as the numbers below it, at least _TRIAL_BLOCK * bits(hi) and at most
+# _TRIAL_WINDOW: so the table reaches 10^6 in 21 sieves, not one per block
+# (307), and holds no more than one window of primes beyond its own.  It is
+# swapped in whole, and a growth reads it only when (lo, hi] holds the
+# table's last prime, so a race between threads can only make a growth sieve
+# again.
+_TRIAL_WINDOW = 1 << 16
+_trial_primes: tuple[int, int, tuple[int, ...]] = (1, 1, ())
 
 
 def _grown(blocks: tuple[tuple[int, tuple[int, ...]], ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """blocks and one block more, the primes after its last, swapped in as the table."""
-    global _trial_table
+    global _trial_table, _trial_primes
     old = blocks[-1][1][-1] if blocks else 1
-    primes: list[int] = []
-    while len(primes) < _TRIAL_BLOCK:
-        top = old + _TRIAL_BLOCK * old.bit_length()
-        primes += _sieve(old, top)
-        old = top
-    block = tuple(primes[:_TRIAL_BLOCK])
+    lo, hi, primes = _trial_primes
+    if not lo <= old <= hi:
+        hi, primes = old, ()
+    i = bisect_right(primes, old)
+    while len(primes) - i < _TRIAL_BLOCK:
+        top = hi + max(_TRIAL_BLOCK * hi.bit_length(), min(hi, _TRIAL_WINDOW))
+        primes, i = primes[i:] + tuple(_sieve(hi, top)), 0
+        hi = top
+        _trial_primes = old, hi, primes
+    block = primes[i : i + _TRIAL_BLOCK]
     _trial_table = blocks = blocks + ((prod(block), block),)
     return blocks
 
@@ -352,19 +366,24 @@ def _sieve(old: int, bound: int):
     """The primes in (old, bound], for old >= 1, in increasing order.
 
     A sieve of that window alone, by the primes up to its root, so a table
-    that grows past old sieves nothing below it again.
+    that grows past old sieves nothing below it again.  The window holds
+    its odd numbers alone, and 2 is added when it lies in it.
     """
     root = isqrt(bound)
-    sieve, window = bytearray([1]) * (root + 1), bytearray([1]) * (bound - old)
+    sieve = bytearray([1]) * (root + 1)
     for p in range(2, isqrt(root) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    first = old + 1 | 1
+    window = bytearray([1]) * len(range(first, bound + 1, 2))
     zero = bytes(len(window))
-    for p in compress(range(2, root + 1), sieve[2:]):
-        # window[i] is old + 1 + i; p's first multiple to strike is at least p * p
-        i = max(p * p, old + 1 + -(old + 1) % p) - old - 1
+    for p in compress(range(3, root + 1), sieve[3:]):
+        # window[i] is first + 2i; p strikes its odd multiples from p * p on
+        m = first + -first % p
+        i = (max(p * p, m + p if m % 2 == 0 else m) - first) // 2
         window[i::p] = zero[: len(range(i, len(window), p))]
-    return compress(range(old + 1, bound + 1), window)
+    odd = compress(range(first, bound + 1, 2), window)
+    return chain((2,), odd) if old < 2 <= bound else odd
 
 
 def _entries_through(limit: int) -> list[tuple[int, list[tuple[int, int, int, list[tuple[int, int]]]]]]:

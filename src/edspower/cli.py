@@ -28,8 +28,8 @@ from . import arith, descent, eds, frey, ledger, quadfield
 from .arith import Budget
 from .curve import Curve, Point
 from .errors import BudgetExhausted, HypothesisError, _require_positive
-from .frey import FreySolution
-from .quadfield import QuadElement
+from .frey import FreySolution, Reduction
+from .quadfield import QuadElement, SplitType
 
 
 # a coordinate: an optional sign, digits and an optional /digits, as str(Fraction)
@@ -58,65 +58,94 @@ def _json(obj) -> str:
     Enum here is a str Enum), a set a sorted list, a QuadElement {"x", "y",
     "display"}, and any other dataclass an object read from vars(): every
     result is a dataclass whose __dict__ holds exactly its fields, in field
-    order.  Dict keys are str.  Every piece goes on one list, joined once.
+    order.  Dict keys are str.  Every piece goes on one list, joined once,
+    and the memo of frozen values that _write keeps lives for this one
+    document.
     """
     out: list[str] = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out, {})
     return "".join(out)
 
 
-def _write(obj, pad: str, out: list[str]) -> None:
+# The text of a leaf by the exact type of its value: these are written
+# inline, with no isinstance check, and anything else goes through _write.
+_DECIMAL = '"%s"'.__mod__
+_LEAVES = {
+    int: _DECIMAL,
+    Fraction: _DECIMAL,
+    str: encode_basestring_ascii,
+    SplitType: encode_basestring_ascii,  # a str Enum's text is its value
+    Reduction: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _write(obj, pad: str, out: list[str], memo: dict[tuple[int, str], tuple[int, int]]) -> None:
     """Append the JSON text of obj to out; pad is a newline and the indent of obj's line.
 
-    A container writes its int and str members itself, each with the text
-    before it in one piece, and hands every other member back to _write.
+    Dispatch is on the exact type.  A container writes each member whose
+    type _LEAVES lists itself, with the text before it in one piece, copies
+    the text of a member already written at the same pad in this document,
+    and hands every other member back to _write.  _write tells a list,
+    tuple or set, a dict and a dataclass apart before any check that a
+    subclass of str, int or Fraction would need, so it writes a leaf only
+    when the leaf is the whole document or of such a subclass.  memo maps
+    (id(obj), pad) of each frozen dataclass written to the span of out that
+    holds its text.  The id is a sound key, as the document holds every
+    object the walk reaches until it ends, and the pad is part of it, as
+    the text of a value depends on its depth.
     """
-    if isinstance(obj, str):  # a str Enum too, whose text is its value
-        out.append(encode_basestring_ascii(obj))
-        return
-    if obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-        return
-    if isinstance(obj, (int, Fraction)):
-        out.append('"%s"' % obj)
-        return
-    if isinstance(obj, (set, frozenset)):
-        obj = sorted(obj)
     inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, set, frozenset)):
         if not obj:
             out.append("[]")
             return
-        sep = "[" + inner
-        for v in obj:
-            if type(v) is int:
-                out.append(f'{sep}"{v}"')
-            elif type(v) is str:
-                out.append(sep + encode_basestring_ascii(v))
-            else:
+        sep, comma = "[" + inner, "," + inner
+        for v in sorted(obj) if isinstance(obj, (set, frozenset)) else obj:
+            leaf = _LEAVES.get(type(v))
+            if leaf is None:
                 out.append(sep)
-                _write(v, inner, out)
-            sep = "," + inner
+                span = memo.get((id(v), inner))
+                if span is None:
+                    _write(v, inner, out, memo)
+                else:
+                    out += out[span[0] : span[1]]
+            else:
+                out.append(sep + leaf(v))
+            sep = comma
         out.append(pad + "]")
         return
-    if isinstance(obj, QuadElement):
-        obj = {"x": obj.x, "y": obj.y, "display": str(obj)}
-    elif not isinstance(obj, dict):
-        obj = vars(obj)
-    if not obj:
-        out.append("{}")
+    key = None
+    if isinstance(obj, dict):
+        items = obj
+    elif hasattr(obj, "__dataclass_params__"):
+        if obj.__dataclass_params__.frozen:
+            key, start = (id(obj), pad), len(out)
+        items = {"x": obj.x, "y": obj.y, "display": str(obj)} if isinstance(obj, QuadElement) else vars(obj)
+    else:  # a leaf: the whole document, or a subclass of str, int or Fraction
+        leaf = _LEAVES.get(type(obj)) or (encode_basestring_ascii if isinstance(obj, str) else _DECIMAL)
+        out.append(leaf(obj))
         return
-    sep = "{" + inner
-    for k, v in obj.items():
-        if type(v) is int:
-            out.append(f'{sep}{encode_basestring_ascii(k)}: "{v}"')
-        elif type(v) is str:
-            out.append(f"{sep}{encode_basestring_ascii(k)}: {encode_basestring_ascii(v)}")
-        else:
-            out.append(f"{sep}{encode_basestring_ascii(k)}: ")
-            _write(v, inner, out)
-        sep = "," + inner
-    out.append(pad + "}")
+    if not items:
+        out.append("{}")
+    else:
+        sep, comma = "{" + inner, "," + inner
+        for k, v in items.items():
+            leaf = _LEAVES.get(type(v))
+            if leaf is None:
+                out.append(f"{sep}{encode_basestring_ascii(k)}: ")
+                span = memo.get((id(v), inner))
+                if span is None:
+                    _write(v, inner, out, memo)
+                else:
+                    out += out[span[0] : span[1]]
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(k)}: {leaf(v)}")
+            sep = comma
+        out.append(pad + "}")
+    if key is not None:
+        memo[key] = start, len(out)
 
 
 def _leaf(value) -> str:

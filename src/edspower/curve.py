@@ -33,14 +33,20 @@ class Curve:
 
 @dataclass(frozen=True)
 class Point:
-    """An affine rational point (x, y); its text "x,y" is the form the CLI parses."""
+    """An affine rational point (x, y); its text "x,y" is the form the CLI parses.
+
+    A coordinate of any other type is converted with Fraction(); a Fraction
+    is kept as it is, as rebuilding it goes through the numbers.Rational check.
+    """
 
     x: Fraction
     y: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+        if type(self.x) is not Fraction:
+            object.__setattr__(self, "x", Fraction(self.x))
+        if type(self.y) is not Fraction:
+            object.__setattr__(self, "y", Fraction(self.y))
 
     def __str__(self):
         return f"{self.x},{self.y}"

@@ -210,24 +210,33 @@ def envelope_bound(p0: int, kind: SplitType) -> EnvelopeBound:
     return EnvelopeBound(N, None, ceiling, f"{N + 1} + 2*sqrt({N})")
 
 
-def level_support(a: int, primes: Iterable[int]) -> LevelSupport:
+def level_support(
+    a: int, primes: Iterable[int], shared: dict[tuple[int, SplitType], LevelEntry] | None = None,
+) -> LevelSupport:
     """Exponent caps for the prime ideals of Q(sqrt(a)) over the given primes, those of 2ad.
 
     a is squarefree and the primes are prime, neither checked.  Caps: 2 at
     ideals over p not dividing 6; 2 + 6e over 2; 2 + 3e over 3, with e the
     ramification index.  A split p has two ideals, which share one entry,
     but in Q itself (a = 1) it is one.  count multiplies out (cap + 1) over
-    all ideals, the size of the exponent-vector enumeration.
+    all ideals, the size of the exponent-vector enumeration.  An entry
+    depends on p and its kind alone: shared, when given, maps (p, kind) to
+    the entry already built for it and gains each new one, so that the
+    fields of one report share their entries.
     """
+    if shared is None:
+        shared = {}
     entries: list[LevelEntry] = []
     count = 1
     for p in primes:
         kind = _kind(a, p)
-        e = 2 if kind is SplitType.RAMIFIED else 1
-        cap = {2: 2 + 6 * e, 3: 2 + 3 * e}.get(p, 2)
+        entry = shared.get((p, kind))
+        if entry is None:
+            e = 2 if kind is SplitType.RAMIFIED else 1
+            entry = shared[p, kind] = LevelEntry(p, kind, e, 2 + e * (6 if p == 2 else 3 if p == 3 else 0))
         ideals = 2 if kind is SplitType.SPLIT and a > 1 else 1
-        entries += [LevelEntry(p, kind, e, cap)] * ideals
-        count *= (cap + 1) ** ideals
+        entries += [entry] * ideals
+        count *= (entry.cap + 1) ** ideals
     return LevelSupport(tuple(entries), count)
 
 
@@ -285,17 +294,23 @@ def _candidate_fields(b: int, T: set[int], p0: int) -> tuple[CandidateField, ...
     T, the primes of 2*a*(b/a) = 2b, is every field's bad set and each
     label is a product of its primes, so nothing is factored again.  Only
     the kinds of p0 and of the primes of T are read: no prime ideal, and
-    no square root mod p, is formed.
+    no square root mod p, is formed.  The fields share what depends on a
+    kind alone: one EnvelopeBound per kind of p0 and one LevelEntry per
+    (p, kind), so a report builds each distinct value once.
     """
     primes = sorted(T)
     divisors = [1]
     for p in primes:
         if b % p == 0:
             divisors += [a * p for a in divisors]
+    envelopes: dict[SplitType, EnvelopeBound] = {}
+    shared: dict[tuple[int, SplitType], LevelEntry] = {}
     fields = []
     for a in sorted(divisors):
         kind = _kind(a, p0)
-        fields.append(CandidateField(a, kind, envelope_bound(p0, kind), level_support(a, primes)))
+        if kind not in envelopes:
+            envelopes[kind] = envelope_bound(p0, kind)
+        fields.append(CandidateField(a, kind, envelopes[kind], level_support(a, primes, shared)))
     return tuple(fields)
 
 

@@ -2,7 +2,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import count, islice
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
@@ -275,6 +275,39 @@ def test_trial_table_grows_only_as_far_as_walks_reach(monkeypatch):
     table = arith._trial_table
     assert table[-1][1][0] <= 15791 <= table[-1][1][-1]
     _check_trial_table(table)
+
+
+def test_sieve_windows_hold_the_primes_in_them():
+    # odd numbers alone are sieved, so 2 comes in only when the window holds
+    # it, and a window may start or end on an even number
+    for old in range(1, 60):
+        for bound in range(old, old + 60):
+            assert list(arith._sieve(old, bound)) == [n for n in range(old + 1, bound + 1) if is_prime_oracle(n)]
+
+
+def test_a_first_walk_to_the_default_bound_sieves_few_windows(monkeypatch):
+    # from an empty table, a walk to 10^6 builds its 307 blocks from about 20
+    # windows, each following the last and growing with the numbers below it,
+    # not from a sieve per block; the primes kept are every prime from the
+    # table's last prime before that window to the window's end
+    monkeypatch.setattr(arith, "_trial_table", ())
+    monkeypatch.setattr(arith, "_trial_primes", (1, 1, ()))
+    windows, sieve = [], arith._sieve
+    monkeypatch.setattr(arith, "_sieve", lambda old, bound: windows.append((old, bound)) or sieve(old, bound))
+    assert list(arith.trial_factors((2**89 - 1) * (2**107 - 1), 10**6)) == []
+    table = arith._trial_table
+    assert len(table) == 307 and len(windows) <= 24
+    assert [old for old, _ in windows] == [1] + [bound for _, bound in windows[:-1]]
+    assert all(b - a <= max(arith._TRIAL_BLOCK * a.bit_length(), arith._TRIAL_WINDOW) for a, b in windows)
+    lo, hi, kept = arith._trial_primes
+    assert lo in [block[-1] for _, block in table[:-1]] and hi == windows[-1][1]
+    composite = bytearray(hi + 1)
+    for p in range(2, isqrt(hi) + 1):
+        composite[p * p :: p] = b"\1" * len(range(p * p, hi + 1, p))
+    primes = [n for n in range(2, hi + 1) if not composite[n]]
+    assert [p for _, block in table for p in block] == primes[: 307 * arith._TRIAL_BLOCK]
+    assert list(kept) == [p for p in primes if p > lo]
+    assert all(len(block) == arith._TRIAL_BLOCK and P == prod(block) for P, block in table)
 
 
 def test_trial_table_holds_under_threads(monkeypatch):

@@ -589,6 +589,9 @@ def test_json_writer_matches_the_oracle_on_golden_results(tmp_path, command):
     assert_writer_matches_oracle(args.handler(args))
 
 
+ENTRY = LevelEntry(3, SplitType.INERT, 1, 5)
+
+
 def test_json_writer_matches_the_oracle_on_every_leaf_kind():
     assert_writer_matches_oracle({
         "empty": ((), {}, frozenset(), []),
@@ -598,5 +601,8 @@ def test_json_writer_matches_the_oracle_on_every_leaf_kind():
         "elements": (QuadElement(5, 3, -2), QuadElement(1, 4, 2), QuadElement(7, 0)),
         "strings": ['say "hi"', "back\\slash", "two\nlines", "tab\tand \u00e9 \u221a \U0001d53d", ""],
         "nested": {"term": EDSTerm(2, 6241, 36, 543599), "deeper": {"x": [{}, [[]], {"y": ()}]}},
+        # one frozen value twice at one depth and once a level deeper, whose
+        # text the writer may reuse only at the depth it was written at
+        "shared": (ENTRY, ENTRY, [ENTRY]),
         'key "quoted" \u00e9': "value",
     })

@@ -238,6 +238,25 @@ def test_candidate_fields_match_the_ideals_of_primes_above(bench_checks):
     assert {(p, kind) for p in (2, 3) for kind in SplitType} <= seen
 
 
+def test_build_report_builds_each_distinct_field_value_once(monkeypatch):
+    # the b = 156 report has 8 fields; the kinds of p0 and of each prime of
+    # 2b recur across them, and each distinct one is built once and shared
+    envelopes, entries = [], []
+    real_envelope, real_entry = ledger.EnvelopeBound, ledger.LevelEntry
+    monkeypatch.setattr(ledger, "EnvelopeBound", lambda *a: envelopes.append(a) or real_envelope(*a))
+    monkeypatch.setattr(ledger, "LevelEntry", lambda *a: entries.append(a) or real_entry(*a))
+    P = Point(Fraction(20248812, 1437601), Fraction(-121781016180, 1723683599))
+    fields = build_report(make_curve_xb(156), P, 11, 100).candidate_fields
+    assert len(fields) == 8
+    kinds = {f.splitting_of_p0 for f in fields}
+    assert len(envelopes) == len(kinds) == 2
+    assert len({id(f.envelope) for f in fields}) == 2
+    keys = {(e.p, e.kind) for f in fields for e in f.level_support.entries}
+    assert sorted((p, kind) for p, kind, _, _ in entries) == sorted(keys)
+    assert len({id(e) for f in fields for e in f.level_support.entries}) == len(keys)
+    assert sum(len(f.level_support.entries) for f in fields) > 2 * len(keys)
+
+
 def test_load_eigenvalue_table():
     lines = [
         "# comment",
