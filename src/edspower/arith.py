@@ -10,7 +10,6 @@ instead of hanging.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd, isqrt, prod
@@ -102,6 +101,52 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+# The kept primes: every prime up to a bound, in increasing order, the one
+# list from which both the trial-division table and the witness table take
+# their blocks.  Only _primes_to grows it, a window (bound, 2*bound] at a time
+# from bound 1, so the bound is a power of 2 and, by Bertrand's postulate, the
+# least one at or above the last prime.  It reaches 10^6 in 20 sieves and
+# holds at most one window past the primes asked of it.  It is swapped in
+# whole, and readers keep the tuple _primes_to returns, not the global, so a
+# race between threads can only make a growth sieve again.
+_primes: tuple[int, ...] = ()
+
+
+def _primes_to(count: int) -> tuple[int, ...]:
+    """The kept primes, grown until there are at least count of them."""
+    global _primes
+    primes = _primes
+    while len(primes) < count:
+        bound = 1 << (primes[-1] - 1).bit_length() if primes else 1
+        primes = _primes = primes + tuple(_sieve(bound, 2 * bound))
+    return primes
+
+
+def _sieve(old: int, bound: int):
+    """The primes in (old, bound], for old >= 1, in increasing order.
+
+    A sieve of that window alone, by the primes up to its root, so
+    _primes_to, its one caller, sieves nothing below the kept bound again.
+    The window holds its odd numbers alone, and 2 is added when it lies in
+    it.
+    """
+    root = isqrt(bound)
+    sieve = bytearray([1]) * (root + 1)
+    for p in range(2, isqrt(root) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    first = old + 1 | 1
+    window = bytearray([1]) * len(range(first, bound + 1, 2))
+    zero = bytes(len(window))
+    for p in compress(range(3, root + 1), sieve[3:]):
+        # window[i] is first + 2i; p strikes its odd multiples from p * p on
+        m = first + -first % p
+        i = (max(p * p, m + p if m % 2 == 0 else m) - first) // 2
+        window[i::p] = zero[: len(range(i, len(window), p))]
+    odd = compress(range(first, bound + 1, 2), window)
+    return chain((2,), odd) if old < 2 <= bound else odd
+
+
 def trial_factors(m: int, bound: int):
     """Yield (p, e, rest) for the primes p dividing m > 0, in increasing order.
 
@@ -155,43 +200,25 @@ def trial_factors(m: int, bound: int):
         yield m, 1, 1
 
 
-# The trial-division table: blocks (P, primes), each of _TRIAL_BLOCK primes in
-# increasing order, the first block starting at 2, with P their product.  It
-# grows a block at a time, when a walk runs off its end, so it holds the
-# primes that some call has reached and at most one block more.  A growth
-# swaps in a new tuple whole, so a race between threads can lose a block, to
-# be built again, but never add a wrong one.  Of blocks of 32 to 1,024 primes,
-# 256 and 512 did best on inputs of 300 and 2,000 bits walked to 10^6 and on a
-# term of 17,901 bits walked to 16,000.
+# The trial-division table: blocks (P, primes), each the next _TRIAL_BLOCK kept
+# primes in increasing order, the first block starting at 2, with P their
+# product.  A block is a slice of the kept primes: it shares their ints and
+# costs 0.6 MB of pointers at 10^6, and spares a walk a slice per block.  It
+# grows a block at a time, when a walk runs off its end, so it holds the primes
+# that some call has reached and at most one block more.  A growth swaps in a
+# new tuple whole, so a race between threads can lose a block, to be built
+# again, but never add a wrong one.  Of blocks of 32 to 1,024 primes, 256 and
+# 512 did best on inputs of 300 and 2,000 bits walked to 10^6 and on a term of
+# 17,901 bits walked to 16,000.
 _TRIAL_BLOCK = 256
 _trial_table: tuple[tuple[int, tuple[int, ...]], ...] = ()
-# The primes sieved for the table: (lo, hi, primes), primes every prime in
-# (lo, hi], in increasing order.  A growth takes its block from the primes
-# past the table's last and sieves only when too few are left, a window as
-# long as the numbers below it, at least _TRIAL_BLOCK * bits(hi) and at most
-# _TRIAL_WINDOW: so the table reaches 10^6 in 21 sieves, not one per block
-# (307), and holds no more than one window of primes beyond its own.  It is
-# swapped in whole, and a growth reads it only when (lo, hi] holds the
-# table's last prime, so a race between threads can only make a growth sieve
-# again.
-_TRIAL_WINDOW = 1 << 16
-_trial_primes: tuple[int, int, tuple[int, ...]] = (1, 1, ())
 
 
 def _grown(blocks: tuple[tuple[int, tuple[int, ...]], ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """blocks and one block more, the primes after its last, swapped in as the table."""
-    global _trial_table, _trial_primes
-    old = blocks[-1][1][-1] if blocks else 1
-    lo, hi, primes = _trial_primes
-    if not lo <= old <= hi:
-        hi, primes = old, ()
-    i = bisect_right(primes, old)
-    while len(primes) - i < _TRIAL_BLOCK:
-        top = hi + max(_TRIAL_BLOCK * hi.bit_length(), min(hi, _TRIAL_WINDOW))
-        primes, i = primes[i:] + tuple(_sieve(hi, top)), 0
-        hi = top
-        _trial_primes = old, hi, primes
-    block = primes[i : i + _TRIAL_BLOCK]
+    """blocks and one block more, the kept primes after its last, swapped in as the table."""
+    global _trial_table
+    i = len(blocks) * _TRIAL_BLOCK
+    block = _primes_to(i + _TRIAL_BLOCK)[i : i + _TRIAL_BLOCK]
     _trial_table = blocks = blocks + ((prod(block), block),)
     return blocks
 
@@ -341,8 +368,8 @@ def exact_root(n: int, ell: int) -> int | None:
 # as some n needed it: most n are ruled out by the first.  The entries are cut
 # into blocks of _BLOCK, each the pair (m, entries) with m the product of their
 # first witnesses, so that perfect_power reduces a long base once per block,
-# not once per q.  row[0] never changes, so neither does m, and every block but
-# the last carries over as it is when the table grows.  Every witness is
+# not once per q.  row[0] never changes, so neither does m, and every block is
+# full and carries over as it is when the table grows.  Every witness is
 # checked prime and = 1 (mod q) when it is added, and a growth swaps in a new
 # tuple whole, so a race between threads can repeat a witness, or lose an entry
 # to be built again, but never add a wrong one.  Of blocks of 8 to 64, 16 to 32
@@ -362,60 +389,28 @@ def _next_witness(q: int, r: int) -> tuple[int, int]:
     return r, (r - 1) // q
 
 
-def _sieve(old: int, bound: int):
-    """The primes in (old, bound], for old >= 1, in increasing order.
-
-    A sieve of that window alone, by the primes up to its root, so a table
-    that grows past old sieves nothing below it again.  The window holds
-    its odd numbers alone, and 2 is added when it lies in it.
-    """
-    root = isqrt(bound)
-    sieve = bytearray([1]) * (root + 1)
-    for p in range(2, isqrt(root) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
-    first = old + 1 | 1
-    window = bytearray([1]) * len(range(first, bound + 1, 2))
-    zero = bytes(len(window))
-    for p in compress(range(3, root + 1), sieve[3:]):
-        # window[i] is first + 2i; p strikes its odd multiples from p * p on
-        m = first + -first % p
-        i = (max(p * p, m + p if m % 2 == 0 else m) - first) // 2
-        window[i::p] = zero[: len(range(i, len(window), p))]
-    odd = compress(range(first, bound + 1, 2), window)
-    return chain((2,), odd) if old < 2 <= bound else odd
-
-
 def _entries_through(limit: int) -> list[tuple[int, list[tuple[int, int, int, list[tuple[int, int]]]]]]:
     """The table's blocks (m, entries), with an entry for each prime q <= limit and maybe more.
 
-    A limit past the bound grows the table to the limit and then only as far
-    as it takes to fill the last block, so a long input builds the witnesses
-    it needs and at most one block more, and limits that rise one by one
-    grow it once per block.  Only the primes past the old bound get a new
-    entry, with its first witness; they come from a sieve of the window
-    past the bound alone, by the primes up to its root, so no number is
-    sieved twice.  The window ends 2 * _BLOCK * bits(limit) past the limit,
-    which holds the primes that fill the block for every limit up to 3*10^6;
-    should it run out, the bound is its end.  The rows already kept carry
-    over as they are, and so does every block but the last, which is cut
-    again with the new entries after its own.  The bound starts at 1, so the
-    window never holds 0 or 1.
+    A limit past the bound grows the table by whole blocks, each the next
+    _BLOCK kept primes with their first witnesses, until the prime after
+    its last entry is past the limit; the bound is one below that prime.
+    So a long input builds the witnesses it needs and at most one block
+    more, and limits that rise one by one grow it once per block.  The
+    blocks already kept, and their rows, carry over as they are.
     """
     global _table
     old, blocks = _table
     if limit > old:
-        bound = limit + 2 * _BLOCK * limit.bit_length()
-        entries = [entry for _, block in blocks[-1:] for entry in block]
-        for q in _sieve(old, bound):
-            if q > limit and len(entries) % _BLOCK == 0:
-                bound = q - 1
-                break
-            r, e = _next_witness(q, 1)
-            entries.append((q, r, e, [(r, e)]))
-        cuts = [entries[i : i + _BLOCK] for i in range(0, len(entries), _BLOCK)]
-        blocks = blocks[:-1] + [(prod(r for _, r, _, _ in cut), cut) for cut in cuts]
-        _table = bound, blocks
+        blocks = list(blocks)
+        n = len(blocks) * _BLOCK
+        primes = _primes_to(n + 1)
+        while primes[n] <= limit:
+            primes = _primes_to(n + _BLOCK + 1)
+            entries = [(q, r, e, [(r, e)]) for q in primes[n : n + _BLOCK] for r, e in [_next_witness(q, 1)]]
+            blocks.append((prod(r for _, r, _, _ in entries), entries))
+            n += _BLOCK
+        _table = primes[n] - 1, blocks
     return blocks
 
 

@@ -285,28 +285,31 @@ def test_sieve_windows_hold_the_primes_in_them():
             assert list(arith._sieve(old, bound)) == [n for n in range(old + 1, bound + 1) if is_prime_oracle(n)]
 
 
+def _primes_oracle(hi: int) -> list[int]:
+    """The primes up to hi, by a sieve of Eratosthenes over the whole range."""
+    composite = bytearray(hi + 1)
+    for p in range(2, isqrt(hi) + 1):
+        composite[p * p :: p] = b"\1" * len(range(p * p, hi + 1, p))
+    return [n for n in range(2, hi + 1) if not composite[n]]
+
+
 def test_a_first_walk_to_the_default_bound_sieves_few_windows(monkeypatch):
-    # from an empty table, a walk to 10^6 builds its 307 blocks from about 20
-    # windows, each following the last and growing with the numbers below it,
-    # not from a sieve per block; the primes kept are every prime from the
-    # table's last prime before that window to the window's end
+    # from an empty kept list, a walk to 10^6 builds its 307 blocks from 20
+    # windows, each following the last and as long as the numbers below it,
+    # not from a sieve per block; the primes kept are every prime up to the
+    # last window's end
     monkeypatch.setattr(arith, "_trial_table", ())
-    monkeypatch.setattr(arith, "_trial_primes", (1, 1, ()))
+    monkeypatch.setattr(arith, "_primes", ())
     windows, sieve = [], arith._sieve
     monkeypatch.setattr(arith, "_sieve", lambda old, bound: windows.append((old, bound)) or sieve(old, bound))
     assert list(arith.trial_factors((2**89 - 1) * (2**107 - 1), 10**6)) == []
     table = arith._trial_table
     assert len(table) == 307 and len(windows) <= 24
     assert [old for old, _ in windows] == [1] + [bound for _, bound in windows[:-1]]
-    assert all(b - a <= max(arith._TRIAL_BLOCK * a.bit_length(), arith._TRIAL_WINDOW) for a, b in windows)
-    lo, hi, kept = arith._trial_primes
-    assert lo in [block[-1] for _, block in table[:-1]] and hi == windows[-1][1]
-    composite = bytearray(hi + 1)
-    for p in range(2, isqrt(hi) + 1):
-        composite[p * p :: p] = b"\1" * len(range(p * p, hi + 1, p))
-    primes = [n for n in range(2, hi + 1) if not composite[n]]
+    assert all(bound == 2 * old for old, bound in windows)
+    primes = _primes_oracle(windows[-1][1])
+    assert list(arith._primes) == primes
     assert [p for _, block in table for p in block] == primes[: 307 * arith._TRIAL_BLOCK]
-    assert list(kept) == [p for p in primes if p > lo]
     assert all(len(block) == arith._TRIAL_BLOCK and P == prod(block) for P, block in table)
 
 
@@ -521,6 +524,70 @@ def test_witnesses_are_built_only_for_the_exponents_a_scan_needs(monkeypatch):
     entries = _flat(arith._table[1])
     assert (bits, len(primes), len(entries)) == (64_745, 6_472, 6_480)
     assert [q for q, *_ in entries[: len(primes)]] == primes
+
+
+def _check_tables_read_the_kept_primes(kept) -> None:
+    """Both tables are full blocks of a prefix of kept, each block with its product."""
+    trial = arith._trial_table
+    _check_trial_table(trial)
+    assert [p for _, block in trial for p in block] == list(kept[: len(trial) * arith._TRIAL_BLOCK])
+    bound, blocks = arith._table
+    _check_blocks(blocks)
+    entries = _flat(blocks)
+    assert all(len(block) == arith._BLOCK for _, block in blocks)
+    assert [q for q, *_ in entries] == list(kept[: len(entries)]) and bound == kept[len(entries)] - 1
+
+
+def test_one_sieve_serves_both_tables(monkeypatch):
+    # a scan's perfect_power, a trial walk to 10^5 and a longer perfect_power,
+    # from an empty kept list: no window is sieved twice, and each table takes
+    # its blocks from the one kept list
+    B = generate(make_curve_xb(5), Point(20, 90), 200).terms[-1].B
+    monkeypatch.setattr(arith, "_primes", ())
+    monkeypatch.setattr(arith, "_trial_table", ())
+    monkeypatch.setattr(arith, "_table", (1, []))
+    windows, sieve = [], arith._sieve
+    monkeypatch.setattr(arith, "_sieve", lambda old, bound: windows.append((old, bound)) or sieve(old, bound))
+    assert perfect_power(B) is None
+    assert list(arith.trial_factors((2**89 - 1) * (2**107 - 1), 10**5)) == []
+    assert len(arith._trial_table) == 38
+    assert perfect_power(B * (B + 2)) is None
+    assert arith._table[0] >= 2 * B.bit_length()
+    assert all(old >= last for (_, last), (old, _) in zip(windows, windows[1:]))
+    kept = arith._primes
+    assert list(kept) == _primes_oracle(windows[-1][1])
+    _check_tables_read_the_kept_primes(kept)
+
+
+def test_kept_primes_and_both_tables_hold_under_threads(monkeypatch):
+    # threads that run perfect_power and trial_factors at once, from an empty
+    # kept list and empty tables, may sieve a window twice or build a block
+    # twice, but every result is the one a single thread gets, and both
+    # tables end as full blocks of the kept primes
+    rng = random.Random(32)
+    powers = [t.B for b, P in SWEEP for t in generate(make_curve_xb(b), P, 30).terms if 1 < t.B.bit_length() <= 5000]
+    trials = [(rng.getrandbits(bits) | 1, bound) for bits, bound in
+              ((8, 100), (300, 30_000), (900, 60_000), (2000, 20_000), (40, 10**5), (1200, 45_000))]
+    tasks = [(perfect_power, n) for n in powers[::3]] + [(lambda a: list(arith.trial_factors(*a)), a) for a in trials]
+    expected = [f(a) for f, a in tasks]
+    assert expected[-len(trials) :] == [trial_factors_wheel(m, bound) for m, bound in trials]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(arith, "_primes", ())
+            monkeypatch.setattr(arith, "_trial_table", ())
+            monkeypatch.setattr(arith, "_table", (1, []))
+            with ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(lambda task: task[0](task[1]), tasks * 4, timeout=120))
+            assert results == expected * 4
+            # a race may leave a kept list shorter than the tables: it grows again
+            need = max(len(arith._trial_table) * arith._TRIAL_BLOCK, len(_flat(arith._table[1])) + 1)
+            kept = arith._primes_to(need)
+            assert list(kept) == _primes_oracle(1 << (kept[-1] - 1).bit_length())
+            _check_tables_read_the_kept_primes(kept)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _planted(rng, bits: int, ell: int) -> int:
